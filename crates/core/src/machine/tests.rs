@@ -607,6 +607,8 @@ fn trace_records_events_and_exports_chrome_json() {
     use crate::trace::TraceKind;
 
     let (mut m, mut q) = percpu_machine(1, Box::new(GlobalFifo::new()));
+    // On in every build profile, not only under debug assertions.
+    m.tracer.checker.enabled = true;
     m.spawn_request(&mut q, 0, Nanos::from_us(30), 0, None);
     m.spawn_request(&mut q, 0, Nanos::from_us(30), 1, None);
     m.run(&mut q, Nanos::from_ms(1));
@@ -671,6 +673,7 @@ fn runtime_trace_disable_records_nothing() {
     let run_one = |active: bool| {
         let (mut m, mut q) = percpu_machine(2, Box::new(GlobalFifo::new()));
         m.tracer.set_active(active);
+        m.tracer.checker.enabled = true;
         for i in 0..8 {
             m.spawn_request(&mut q, 0, Nanos::from_us(20 + i * 3), 0, None);
         }

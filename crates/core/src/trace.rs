@@ -3,8 +3,13 @@
 //!
 //! Every event the [`Machine`] processes is recorded into per-core ring
 //! buffers ([`Tracer`]) together with the scheduling actions it caused
-//! (task switches, preemptions, parks, core grants/revokes). Two consumers
-//! sit on top:
+//! (task switches, preemptions, parks, core grants/revokes). Events with
+//! no core (core-allocator ticks, brownout transitions, client retries)
+//! go to one extra machine-wide ring. The rings store packed 24-byte
+//! records (timestamp, task index and generation, application, kind); the
+//! core is implied by the ring, so a default 4096-entry ring costs 96 KiB
+//! per core. [`Tracer::events`] and the exporter unpack records back into
+//! [`TraceEvent`]s on read. Two consumers sit on top:
 //!
 //! * **Chrome-trace export** ([`Tracer::to_chrome_json`],
 //!   [`Machine::write_trace`]): the rings serialize to the Chrome trace
@@ -176,13 +181,13 @@ impl TraceKind {
     }
 }
 
-/// One recorded scheduling event.
-#[derive(Clone, Copy, Debug)]
+/// One recorded scheduling event, as [`Tracer::events`] returns it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TraceEvent {
     /// Virtual time of the event.
     pub ts: Nanos,
     /// Core the event concerns; `None` for machine-wide events
-    /// (core-allocator ticks).
+    /// (core-allocator ticks, brownout transitions, client retries).
     pub core: Option<CoreId>,
     /// Task the event concerns, when one is identifiable.
     pub task: Option<TaskId>,
@@ -193,15 +198,71 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-/// A bounded FIFO of trace events.
+/// `Packed::task_idx` of an event with no task.
+const NO_TASK: u32 = u32::MAX;
+/// `Packed::app` of an event with no application.
+const NO_APP: u16 = u16::MAX;
+
+/// The stored form of a [`TraceEvent`]: 24 bytes instead of 56. The core
+/// is not stored, because the ring an entry sits in is its core.
+#[derive(Clone, Copy, Debug)]
+struct Packed {
+    ts: u64,
+    /// [`TaskId`] index, or [`NO_TASK`].
+    task_idx: u32,
+    task_gen: u32,
+    /// Owning application, or [`NO_APP`].
+    app: u16,
+    kind: TraceKind,
+}
+
+const _: () = assert!(std::mem::size_of::<Packed>() == 24);
+
+impl Packed {
+    #[inline]
+    fn pack(ev: &TraceEvent) -> Packed {
+        let (task_idx, task_gen) = ev.task.map_or((NO_TASK, 0), |t| (t.idx, t.generation));
+        debug_assert!(
+            ev.task.is_none() || task_idx != NO_TASK,
+            "task index {NO_TASK} is the no-task sentinel"
+        );
+        debug_assert!(
+            ev.app.is_none_or(|a| a < NO_APP as usize),
+            "app {:?} does not fit a packed trace record",
+            ev.app
+        );
+        Packed {
+            ts: ev.ts.0,
+            task_idx,
+            task_gen,
+            app: ev.app.map_or(NO_APP, |a| a as u16),
+            kind: ev.kind,
+        }
+    }
+
+    fn unpack(&self, core: Option<CoreId>) -> TraceEvent {
+        TraceEvent {
+            ts: Nanos(self.ts),
+            core,
+            task: (self.task_idx != NO_TASK).then_some(TaskId {
+                idx: self.task_idx,
+                generation: self.task_gen,
+            }),
+            app: (self.app != NO_APP).then_some(self.app as AppId),
+            kind: self.kind,
+        }
+    }
+}
+
+/// A bounded FIFO of packed trace records.
 ///
 /// Stored as a flat circular buffer: once full, `push` overwrites in
 /// place at a rotating write index. Recording an event at steady state is
-/// one indexed store — this runs on every simulation event, so it must
-/// not shift, reallocate, or branch on capacity growth.
+/// one indexed 24-byte store — this runs on every simulation event, so it
+/// must not shift, reallocate, or branch on capacity growth.
 #[derive(Debug, Default)]
 struct Ring {
-    buf: Vec<TraceEvent>,
+    buf: Vec<Packed>,
     /// Oldest entry (and next overwrite target) once the buffer is full.
     head: usize,
 }
@@ -217,7 +278,7 @@ impl Ring {
     /// Appends `ev`, evicting the oldest entry when at `cap`. Returns
     /// whether an entry was evicted.
     #[inline]
-    fn push(&mut self, ev: TraceEvent, cap: usize) -> bool {
+    fn push(&mut self, ev: Packed, cap: usize) -> bool {
         if self.buf.len() < cap {
             self.buf.push(ev);
             false
@@ -232,14 +293,14 @@ impl Ring {
     }
 
     /// Buffered events, oldest first.
-    fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
+    fn iter(&self) -> impl Iterator<Item = &Packed> {
         self.buf[self.head..]
             .iter()
             .chain(self.buf[..self.head].iter())
     }
 
     /// The newest buffered event.
-    fn last(&self) -> Option<&TraceEvent> {
+    fn last(&self) -> Option<&Packed> {
         if self.buf.is_empty() {
             None
         } else if self.head == 0 {
@@ -316,8 +377,9 @@ impl Tracer {
 
     /// Creates a tracer with an explicit per-ring capacity.
     ///
-    /// Rings are allocated to full capacity up front so steady-state
-    /// recording never grows a buffer on the event hot path.
+    /// Rings are allocated to full capacity up front (24 bytes per entry)
+    /// so steady-state recording never grows a buffer on the event hot
+    /// path.
     pub fn with_capacity(n_cores: usize, capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
         Tracer {
@@ -351,13 +413,23 @@ impl Tracer {
 
     /// Appends an event to its core's ring (machine-wide events go to the
     /// last ring), evicting the oldest event when the ring is full.
+    /// `ev.core` must be one of the tracer's cores (checked in debug
+    /// builds): the ring index is all that records it.
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
-        let last = self.rings.len() - 1;
-        let idx = ev.core.map_or(last, |c| c.min(last));
-        if self.rings[idx].push(ev, self.capacity) {
+        let n_cores = self.rings.len() - 1;
+        let idx = ev.core.map_or(n_cores, |c| {
+            debug_assert!(c < n_cores, "core {c} has no trace ring ({n_cores} cores)");
+            c
+        });
+        if self.rings[idx].push(Packed::pack(&ev), self.capacity) {
             self.dropped += 1;
         }
+    }
+
+    /// The core a ring records; `None` for the machine-wide ring.
+    fn ring_core(&self, ring: usize) -> Option<CoreId> {
+        (ring + 1 < self.rings.len()).then_some(ring)
     }
 
     /// Total events currently buffered.
@@ -376,8 +448,11 @@ impl Tracer {
     }
 
     /// All buffered events, core by core, oldest first within a core.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.rings.iter().flat_map(|r| r.iter())
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.rings.iter().enumerate().flat_map(move |(i, r)| {
+            let core = self.ring_core(i);
+            r.iter().map(move |p| p.unpack(core))
+        })
     }
 
     /// Serializes the buffered events to Chrome trace event format
@@ -390,13 +465,14 @@ impl Tracer {
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut first = true;
         for (tid, ring) in self.rings.iter().enumerate() {
+            let core = self.ring_core(tid);
             let mut open: Option<TraceEvent> = None;
-            for ev in ring.iter() {
+            for ev in ring.iter().map(|p| p.unpack(core)) {
                 if ev.kind == TraceKind::Switch {
                     // A Switch while a slice is open can only come from a
                     // ring that lost its closing event to eviction; start
                     // over from the newer slice.
-                    open = Some(*ev);
+                    open = Some(ev);
                     continue;
                 }
                 if ev.kind.ends_slice() {
@@ -404,11 +480,11 @@ impl Tracer {
                         push_slice(&mut out, &mut first, tid, &start, ev.ts);
                     }
                 }
-                push_instant(&mut out, &mut first, tid, ev);
+                push_instant(&mut out, &mut first, tid, &ev);
             }
             // Close a slice still running at the end of the recording.
             if let Some(start) = open {
-                let end = ring.last().map_or(start.ts, |e| e.ts.max(start.ts));
+                let end = ring.last().map_or(start.ts, |e| Nanos(e.ts).max(start.ts));
                 push_slice(&mut out, &mut first, tid, &start, end);
             }
         }
@@ -828,16 +904,115 @@ mod tests {
         }
     }
 
+    /// Every [`TraceKind`], both `IpiArrive` purposes included.
+    const ALL_KINDS: [TraceKind; 32] = [
+        TraceKind::TimerFire,
+        TraceKind::TimerLost,
+        TraceKind::IpiArrive {
+            purpose: IpiPurpose::Preempt,
+        },
+        TraceKind::IpiArrive {
+            purpose: IpiPurpose::Revoke,
+        },
+        TraceKind::SegmentDone,
+        TraceKind::QuantumCheck,
+        TraceKind::StartCore,
+        TraceKind::PlaceTask,
+        TraceKind::CoreAllocTick,
+        TraceKind::Switch,
+        TraceKind::Preempt,
+        TraceKind::Park,
+        TraceKind::Yield,
+        TraceKind::Block,
+        TraceKind::Finish,
+        TraceKind::Grant,
+        TraceKind::Revoke,
+        TraceKind::FaultBlock,
+        TraceKind::FaultResolve,
+        TraceKind::TimerRearm,
+        TraceKind::IpiRetry,
+        TraceKind::WorkerStalled,
+        TraceKind::TaskMigrated,
+        TraceKind::RxEnqueue,
+        TraceKind::RxDrop,
+        TraceKind::RxPoll,
+        TraceKind::AqmDrop,
+        TraceKind::AdmissionShed,
+        TraceKind::NetRetry,
+        TraceKind::RqShed,
+        TraceKind::BrownoutShed,
+        TraceKind::BrownoutClear,
+    ];
+
+    #[test]
+    fn packed_records_round_trip() {
+        let tasks = [
+            None,
+            Some(TaskId {
+                idx: 0,
+                generation: 0,
+            }),
+            Some(TaskId {
+                idx: 17,
+                generation: (1 << 16) + 3,
+            }),
+            Some(TaskId {
+                idx: NO_TASK - 1,
+                generation: u32::MAX,
+            }),
+        ];
+        let apps = [None, Some(0), Some(5), Some(NO_APP as usize - 1)];
+        let names: std::collections::HashSet<_> = ALL_KINDS.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), ALL_KINDS.len(), "kinds listed twice");
+        let mut want = Vec::new();
+        for core in [Some(0), Some(1), None] {
+            for kind in ALL_KINDS {
+                for &task in &tasks {
+                    for &app in &apps {
+                        want.push(TraceEvent {
+                            ts: Nanos(u64::MAX - want.len() as u64),
+                            core,
+                            task,
+                            app,
+                            kind,
+                        });
+                    }
+                }
+            }
+        }
+        let mut tr = Tracer::with_capacity(2, want.len());
+        for &e in &want {
+            tr.record(e);
+        }
+        assert_eq!(tr.dropped(), 0);
+        let got: Vec<TraceEvent> = tr.events().collect();
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn ring_evicts_oldest() {
-        let mut tr = Tracer::with_capacity(1, 2);
-        for ts in 0..5 {
-            tr.record(ev(ts, Some(0), TraceKind::TimerFire));
+        let mut tr = Tracer::with_capacity(2, 3);
+        for ts in 0..8 {
+            tr.record(ev(ts, Some(1), TraceKind::TimerFire));
+            tr.record(ev(100 + ts, None, TraceKind::CoreAllocTick));
         }
-        assert_eq!(tr.len(), 2);
-        assert_eq!(tr.dropped(), 3);
-        let first = tr.events().next().unwrap();
-        assert_eq!(first.ts, Nanos(3));
+        tr.record(ev(50, Some(0), TraceKind::StartCore));
+        assert_eq!(tr.len(), 7);
+        assert_eq!(tr.dropped(), 10);
+        // Core by core, oldest first within a core, machine-wide ring last.
+        let got: Vec<_> = tr.events().map(|e| (e.core, e.ts.0)).collect();
+        assert_eq!(
+            got,
+            [
+                (Some(0), 50),
+                (Some(1), 5),
+                (Some(1), 6),
+                (Some(1), 7),
+                (None, 105),
+                (None, 106),
+                (None, 107),
+            ]
+        );
     }
 
     #[test]
@@ -868,6 +1043,48 @@ mod tests {
         );
         // The trailing open slice closes with zero duration.
         assert!(json.contains("\"ts\":4.000,\"dur\":0.000"), "{json}");
+    }
+
+    /// Chrome-trace export of a small per-CPU run, recorded with rings
+    /// small enough to wrap; client retries fill the machine-wide ring.
+    #[test]
+    fn chrome_json_matches_golden() {
+        use crate::builtin::GlobalFifo;
+        use crate::conf::Platform;
+        use crate::machine::{AppKind, Call, MachineConfig, NetTrace};
+        use skyloft_hw::Topology;
+        use skyloft_sim::EventQueue;
+
+        let cfg = MachineConfig {
+            plat: Platform::skyloft_percpu(Topology::single(2), 100_000),
+            n_workers: 2,
+            seed: 42,
+            core_alloc: None,
+            utimer_period: None,
+        };
+        let mut m = Machine::new(cfg, Box::new(GlobalFifo::new()));
+        m.tracer = Tracer::with_capacity(m.cores.len(), 12);
+        m.add_app("a", AppKind::Lc);
+        m.add_app("b", AppKind::Lc);
+        let mut q = EventQueue::new();
+        m.start(&mut q);
+        for i in 0..16u64 {
+            q.schedule(
+                Nanos::from_us(i * 15),
+                Event::Call(Call(Box::new(move |m, q| {
+                    let now = q.now();
+                    let service = Nanos::from_us(8 + (i % 5) * 6);
+                    m.spawn_request(q, (i % 2) as usize, service, 0, None);
+                    m.note_net(now, None, NetTrace::NetRetry);
+                }))),
+            );
+        }
+        m.run(&mut q, Nanos::from_us(240));
+        assert!(m.tracer.dropped() > 0, "rings must wrap");
+        assert_eq!(
+            m.trace_to_chrome_json(),
+            include_str!("testdata/percpu_trace.json")
+        );
     }
 
     #[test]

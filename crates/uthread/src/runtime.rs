@@ -343,8 +343,14 @@ impl JoinHandle {
             me.state.store(state::BLOCKING, Ordering::Release);
             joiners.push(Arc::clone(&me));
         }
+        // Registered: the target's exit will wake us exactly once, even if
+        // it finishes before we get here. Switch out unconditionally so
+        // that wake is consumed now; returning without switching would
+        // leave it pending, to resume this task later while it is blocked
+        // somewhere else.
+        switch_to_sched();
         while !self.task.is_done() {
-            switch_to_sched();
+            yield_now();
         }
     }
 
