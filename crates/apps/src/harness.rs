@@ -54,11 +54,8 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// A reasonable default window: 50 ms warmup, 300 ms measurement.
-    ///
-    /// The spec honors a `--trace <path>` flag on the binary's command
-    /// line (see [`trace_arg`]), so every sweep-driven bench binary can
-    /// dump a Perfetto-loadable trace without its own plumbing.
+    /// A reasonable default window: 50 ms warmup, 300 ms measurement,
+    /// no trace dump.
     pub fn new(name: impl Into<String>, rates: Vec<f64>, service: Distribution) -> Self {
         SweepSpec {
             name: name.into(),
@@ -70,34 +67,13 @@ impl SweepSpec {
             warmup: Nanos::from_ms(50),
             measure: Nanos::from_ms(300),
             seed: SKY_SEED,
-            trace: trace_arg(),
+            trace: None,
             net: None,
         }
     }
 }
 
 const SKY_SEED: u64 = 0x5359_4c4f_4654; // "SYLOFT"
-
-/// The path given by a `--trace <path>` (or `--trace=<path>`) argument on
-/// the current process's command line, if any.
-pub fn trace_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            let path = args.next();
-            if path.is_none() {
-                // Called once per sweep spec; warn once per process.
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| eprintln!("warning: --trace given without a path; ignoring"));
-            }
-            return path.map(Into::into);
-        }
-        if let Some(p) = a.strip_prefix("--trace=") {
-            return Some(p.into());
-        }
-    }
-    None
-}
 
 /// A machine/queue factory for sweep points. `Sync` so independent
 /// points can be built from worker threads ([`run_sweep_threaded`]).
@@ -113,11 +89,10 @@ pub fn sweep_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Per-point trace file: `<base>.<system>.<rate>.json`, with the system
-/// name sanitized to a filename-safe slug.
-fn point_trace_path(base: &std::path::Path, system: &str, rate: f64) -> std::path::PathBuf {
-    let slug: String = system
-        .chars()
+/// `s` as a filename-safe slug: ASCII alphanumerics lowercased, every
+/// other character replaced by `-`.
+pub fn slug(s: &str) -> String {
+    s.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() {
                 c.to_ascii_lowercase()
@@ -125,8 +100,7 @@ fn point_trace_path(base: &std::path::Path, system: &str, rate: f64) -> std::pat
                 '-'
             }
         })
-        .collect();
-    std::path::PathBuf::from(format!("{}.{slug}.{}.json", base.display(), rate as u64))
+        .collect()
 }
 
 /// Runs one load point on a freshly built machine and returns its
@@ -163,7 +137,13 @@ pub fn run_point(spec: &SweepSpec, rate: f64, build: Builder<'_>) -> LoadPoint {
         p.be_share = Some(m.app_share(be, now));
     }
     if let Some(base) = &spec.trace {
-        let path = point_trace_path(base, &spec.name, rate);
+        // One file per point, `<base>.<system>.<rate>.json`.
+        let path = std::path::PathBuf::from(format!(
+            "{}.{}.{}.json",
+            base.display(),
+            slug(&spec.name),
+            rate as u64
+        ));
         match m.write_trace(&path) {
             Ok(()) => eprintln!(
                 "trace: wrote {} ({} rps point of {})",

@@ -1,37 +1,141 @@
-//! Helpers for the repo-root `BENCH_*.json` baseline files.
+//! The repo-root `BENCH_*.json` baseline files: their format, the metric
+//! sections a binary records into them, and the gates `--check` holds
+//! against them. Only the driver ([`crate::driver::Cli::finish`]) reads
+//! or writes the files.
 //!
 //! The baselines are hand-rolled flat JSON: a top of header scalars
 //! (`"schema"`, `"bench"`) followed by named object sections, one per
-//! recorded series. Several binaries share one file (netbench and
-//! overload_sweep both record into `BENCH_net.json`), so writers must
-//! splice their own sections in place instead of rewriting the file —
-//! otherwise a `--write` from one bench silently discards the other's
-//! stored numbers and its `--check` loses its regression bound.
+//! recorded series. Several binaries share one file (netbench,
+//! overload_sweep and slo_sweep all record into `BENCH_net.json`), so
+//! writers splice their own sections in place instead of rewriting the
+//! file — otherwise a `--write` from one bench would silently discard the
+//! others' stored numbers and their `--check` would lose its bound.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// The shared network-bench baseline at the repo root.
-pub fn net_baseline_path() -> PathBuf {
-    PathBuf::from(format!(
-        "{}/../../BENCH_net.json",
-        env!("CARGO_MANIFEST_DIR")
-    ))
+/// One named object section of a baseline file: `(key, value, decimals)`
+/// rows, written in order as `"key": value` with `value` rounded to
+/// `decimals` places.
+pub struct Section {
+    pub name: String,
+    pub metrics: Vec<(String, f64, usize)>,
 }
 
-/// The policy hot-path baseline at the repo root (`polbench`).
-pub fn policy_baseline_path() -> PathBuf {
-    PathBuf::from(format!(
-        "{}/../../BENCH_policy.json",
-        env!("CARGO_MANIFEST_DIR")
-    ))
+impl Section {
+    pub fn new<K: Into<String>>(
+        name: impl Into<String>,
+        metrics: impl IntoIterator<Item = (K, f64, usize)>,
+    ) -> Self {
+        Section {
+            name: name.into(),
+            metrics: metrics
+                .into_iter()
+                .map(|(k, v, d)| (k.into(), v, d))
+                .collect(),
+        }
+    }
+
+    /// The unrounded value recorded under `key`.
+    pub fn get(&self, key: &str) -> Option<f64> {
+        self.metrics.iter().find(|m| m.0 == key).map(|m| m.1)
+    }
+
+    /// The section's inner lines, indented four spaces.
+    pub fn body(&self) -> String {
+        self.metrics
+            .iter()
+            .map(|(k, v, d)| format!("    \"{k}\": {v:.d$}"))
+            .collect::<Vec<_>>()
+            .join(",\n")
+    }
+}
+
+/// How far a measured value may stray from its baseline, as a fraction of
+/// the baseline. The boundary itself passes.
+#[derive(Clone, Copy, Debug)]
+pub enum Bound {
+    /// Higher is better: `measured >= baseline * f`.
+    AtLeast(f64),
+    /// Lower is better: `measured <= baseline * f`.
+    AtMost(f64),
+}
+
+impl Bound {
+    pub fn admits(self, measured: f64, baseline: f64) -> bool {
+        match self {
+            Bound::AtLeast(f) => measured >= baseline * f,
+            Bound::AtMost(f) => measured <= baseline * f,
+        }
+    }
+}
+
+/// A regression gate: the metric a binary records as `section.key` is
+/// held within `bound` of the committed value under the same name.
+#[derive(Clone, Copy, Debug)]
+pub struct Gate {
+    pub section: &'static str,
+    pub key: &'static str,
+    pub bound: Bound,
+}
+
+impl Gate {
+    pub const fn at_least(section: &'static str, key: &'static str, f: f64) -> Gate {
+        Gate {
+            section,
+            key,
+            bound: Bound::AtLeast(f),
+        }
+    }
+
+    pub const fn at_most(section: &'static str, key: &'static str, f: f64) -> Gate {
+        Gate {
+            section,
+            key,
+            bound: Bound::AtMost(f),
+        }
+    }
+
+    /// `(baseline, passed)`, or `None` when `json` records no baseline
+    /// for this gate.
+    pub fn evaluate(&self, json: &str, measured: f64) -> Option<(f64, bool)> {
+        let base = extract(json, self.section, self.key)?;
+        Some((base, self.bound.admits(measured, base)))
+    }
+}
+
+/// A baseline file (relative to the repo root) and the gates a binary's
+/// `--check` holds against it.
+pub struct Baseline {
+    pub file: &'static str,
+    pub gates: &'static [Gate],
+}
+
+/// Byte range of the top-level object section `name`, from its opening
+/// brace to its matching closing brace.
+fn section_span(json: &str, name: &str) -> Option<(usize, usize)> {
+    let at = json.find(&format!("\"{name}\""))?;
+    let open = at + json[at..].find('{')?;
+    let mut depth = 0usize;
+    for (i, c) in json[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some((open, open + i));
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Pulls `"key": <number>` out of `section` of a baseline file.
 pub fn extract(json: &str, section: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{section}\""))?;
-    let rest = &json[at..];
-    let at = rest.find(&format!("\"{key}\""))?;
-    let rest = &rest[at..];
+    let (open, close) = section_span(json, section)?;
+    let body = &json[open..close];
+    let rest = &body[body.find(&format!("\"{key}\""))?..];
     let colon = rest.find(':')?;
     let num: String = rest[colon + 1..]
         .trim_start()
@@ -54,27 +158,7 @@ pub fn upsert_section(path: &Path, name: &str, body: &str) -> std::io::Result<()
 }
 
 fn splice_section(json: &str, name: &str, body: &str) -> String {
-    let key = format!("\"{name}\"");
-    if let Some(open) = json
-        .find(&key)
-        .and_then(|at| json[at..].find('{').map(|off| at + off))
-    {
-        // Replace the existing section body between its matched braces.
-        let mut depth = 0usize;
-        let mut close = open;
-        for (i, c) in json[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = open + i;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
+    if let Some((open, close)) = section_span(json, name) {
         format!("{}{{\n{body}\n  {}", &json[..open], &json[close..])
     } else {
         // Append a new section before the file's final closing brace,
@@ -119,5 +203,44 @@ mod tests {
         let out = splice_section("{\n  \"schema\": 1\n}\n", "fresh", "    \"x\": 1");
         assert_eq!(extract(&out, "fresh", "x"), Some(1.0));
         assert!(out.starts_with("{\n  \"schema\": 1,\n"));
+    }
+
+    #[test]
+    fn extract_stays_inside_the_named_section() {
+        let with = splice_section(SEED_FILE, "later", "    \"goodput\": 9");
+        assert_eq!(extract(&with, "current", "goodput"), None);
+    }
+
+    #[test]
+    fn section_body_rounds_each_metric_to_its_decimals() {
+        let s = Section::new("current", [("rps", 1989360.4, 0), ("p99_us", 161.84, 1)]);
+        assert_eq!(s.body(), "    \"rps\": 1989360,\n    \"p99_us\": 161.8");
+        assert_eq!(s.get("p99_us"), Some(161.84));
+    }
+
+    /// The gate evaluator at its tolerance boundary, in both directions,
+    /// for every tolerance the bench binaries use.
+    #[test]
+    fn gates_pass_at_the_boundary_and_fail_just_past_it() {
+        let json = "{\n  \"current\": {\n    \"rate\": 1000,\n    \"p99_us\": 1000\n  }\n}\n";
+        for f in [0.7, 0.9] {
+            let g = Gate::at_least("current", "rate", f);
+            let edge = 1000.0 * f;
+            assert_eq!(g.evaluate(json, edge), Some((1000.0, true)), "floor {f}");
+            assert_eq!(g.evaluate(json, edge * 1.001), Some((1000.0, true)));
+            assert_eq!(g.evaluate(json, edge * 0.999), Some((1000.0, false)));
+        }
+        let g = Gate::at_most("current", "p99_us", 1.3);
+        let edge = 1000.0 * 1.3;
+        assert_eq!(g.evaluate(json, edge), Some((1000.0, true)));
+        assert_eq!(g.evaluate(json, edge * 0.999), Some((1000.0, true)));
+        assert_eq!(g.evaluate(json, edge * 1.001), Some((1000.0, false)));
+    }
+
+    #[test]
+    fn gate_without_a_baseline_value_is_skipped() {
+        let g = Gate::at_least("missing", "rate", 0.7);
+        assert_eq!(g.evaluate(SEED_FILE, 1.0), None);
+        assert_eq!(g.evaluate("", 1.0), None);
     }
 }

@@ -16,13 +16,14 @@
 
 use skyloft_apps::harness::{par_map, run_point, sweep_threads, SweepSpec};
 use skyloft_apps::synthetic::{dispersive, dispersive_threshold, Placement};
-use skyloft_bench::{build, out, scaled};
+use skyloft_bench::{build, scaled, Cli};
 use skyloft_metrics::Table;
 use skyloft_sim::Nanos;
 
 const PER_CORE_RPS: f64 = 17_000.0; // ~92% per-core utilization
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let worker_counts = [4usize, 8, 16, 24, 32, 40];
     let mut t = Table::new(&[
         "workers",
@@ -45,7 +46,7 @@ fn main() {
             placement: Placement::Queue,
             warmup: scaled(Nanos::from_ms(50)),
             measure: scaled(Nanos::from_ms(250)),
-            ..SweepSpec::new("ablate", vec![rate], dispersive())
+            ..cli.sweep("ablate", vec![rate], dispersive())
         };
         let central = run_point(&spec, rate, &|| {
             build::skyloft_shinjuku(w, Some(Nanos::from_us(30)), false)
@@ -78,7 +79,7 @@ fn main() {
             format!("{:.1}", ghost.p99_us),
         ]);
     }
-    out::emit(
+    cli.emit(
         "ablate_dispatcher",
         "Ablation: centralized-scheduler scalability (fixed per-core load)",
         &t,

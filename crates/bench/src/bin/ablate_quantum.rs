@@ -16,11 +16,12 @@
 use skyloft_apps::harness::{par_map, run_point, sweep_threads, SweepSpec};
 use skyloft_apps::synthetic::{dispersive, dispersive_threshold, Placement};
 use skyloft_bench::setup::FIG7_WORKERS;
-use skyloft_bench::{build, out, scaled};
+use skyloft_bench::{build, scaled, Cli};
 use skyloft_metrics::Table;
 use skyloft_sim::Nanos;
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let quanta_us = [5u64, 10, 15, 30, 60, 120, 240];
     let mid_rate = 280_000.0; // ~76% load: tail-latency regime
     let hot_rate = 345_000.0; // ~93% load: the cost side becomes visible
@@ -41,7 +42,7 @@ fn main() {
             placement: Placement::Queue,
             warmup: scaled(Nanos::from_ms(50)),
             measure: scaled(Nanos::from_ms(300)),
-            ..SweepSpec::new("q", vec![r], dispersive())
+            ..cli.sweep("q", vec![r], dispersive())
         };
         let mid = run_point(&spec(mid_rate), mid_rate, &|| {
             build::skyloft_shinjuku(FIG7_WORKERS, Some(quantum), false)
@@ -66,7 +67,7 @@ fn main() {
             format!("{:.0}", ipis_per_long),
         ]);
     }
-    out::emit(
+    cli.emit(
         "ablate_quantum",
         "Ablation: preemption quantum vs short tails and long-request cost",
         &t,

@@ -16,12 +16,12 @@
 //!
 //! Flags: `--smoke` (short windows, checker force-enabled — the CI
 //! configuration), `--seed <n>` (fault-plan seed; CI runs a fixed seed
-//! matrix). Results: `results/chaos_sweep.csv`.
+//! matrix). Results: `chaos_sweep.csv` and `chaos_sweep_dataplane.csv`.
 
 use skyloft::machine::{AppKind, Event, Machine, MachineConfig};
 use skyloft::{FaultPlan, Platform, RecoveryConfig};
 use skyloft_apps::synthetic::{dispersive, dispersive_threshold, install_open_loop, Placement};
-use skyloft_bench::{out, scaled, setup};
+use skyloft_bench::{scaled, setup, Cli};
 use skyloft_hw::Topology;
 use skyloft_metrics::Table;
 use skyloft_net::OpenLoop;
@@ -90,7 +90,7 @@ fn build(arming_drop_p: f64, recovery_on: bool, cfg: &RunCfg) -> (Machine, Event
     (m, q)
 }
 
-fn run_cell(arming_drop_p: f64, recovery_on: bool, cfg: &RunCfg) -> Cell {
+fn run_cell(cli: &Cli, arming_drop_p: f64, recovery_on: bool, cfg: &RunCfg) -> Cell {
     let (mut m, mut q) = build(arming_drop_p, recovery_on, cfg);
     let end = cfg.warmup + cfg.measure;
     let gen = OpenLoop::new(
@@ -104,7 +104,7 @@ fn run_cell(arming_drop_p: f64, recovery_on: bool, cfg: &RunCfg) -> Cell {
     m.reset_stats(q.now());
     m.run(&mut q, end);
     let now = q.now();
-    skyloft_bench::dump_trace(
+    cli.dump_trace(
         &m,
         &format!(
             "chaos loss {:.1}%, recovery {}",
@@ -136,7 +136,7 @@ fn run_cell(arming_drop_p: f64, recovery_on: bool, cfg: &RunCfg) -> Cell {
 /// §13): whatever the faults do to poll timing and flow steering, every
 /// generated datagram still lands in exactly one terminal bucket, and
 /// the invariant checker stays clean.
-fn dataplane_phase(cfg: &RunCfg) {
+fn dataplane_phase(cli: &Cli, cfg: &RunCfg) {
     use skyloft_apps::synthetic::{install_open_loop_ctl, OverloadControl};
     use skyloft_net::dataplane::NicConfig;
 
@@ -230,7 +230,7 @@ fn dataplane_phase(cfg: &RunCfg) {
         s.retries_spent.to_string(),
         s.completed.to_string(),
     ]);
-    out::emit(
+    cli.emit(
         "chaos_sweep_dataplane",
         "Chaos sweep: NIC data plane under poll/steering faults (ledger closed)",
         &t,
@@ -238,14 +238,9 @@ fn dataplane_phase(cfg: &RunCfg) {
 }
 
 fn main() {
-    let args = skyloft_bench::positional_args();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seed takes a u64"))
-        .unwrap_or(setup::SEED);
+    let cli = Cli::parse(&["--smoke", "--seed"]);
+    let smoke = cli.smoke;
+    let seed = cli.seed.unwrap_or(setup::SEED);
 
     let cfg = if smoke {
         RunCfg {
@@ -280,8 +275,8 @@ fn main() {
     ]);
     let mut cells = Vec::new();
     for &p in fault_rates {
-        let on = run_cell(p, true, &cfg);
-        let off = run_cell(p, false, &cfg);
+        let on = run_cell(&cli, p, true, &cfg);
+        let off = run_cell(&cli, p, false, &cfg);
         eprintln!(
             "chaos_sweep: loss {:.1}% -> p99 {:.1} us (recovery) / {:.1} us (none), \
              achieved {:.0} / {:.0} rps",
@@ -303,7 +298,7 @@ fn main() {
         ]);
         cells.push((p, on, off));
     }
-    out::emit(
+    cli.emit(
         "chaos_sweep",
         "Chaos sweep: dispersive p99 vs timer-arming loss rate (recovery on/off)",
         &t,
@@ -357,6 +352,6 @@ fn main() {
         onepct.2.p99.as_us()
     );
 
-    dataplane_phase(&cfg);
+    dataplane_phase(&cli, &cfg);
     println!("data-plane faults ok: conservation ledger closed under poll/steering chaos");
 }

@@ -11,12 +11,13 @@
 use skyloft_apps::harness::{par_map, sweep_threads};
 use skyloft_apps::schbench::DEFAULT_WORK;
 use skyloft_bench::setup::FIG5_CORES;
-use skyloft_bench::{build, out, schbench_util};
+use skyloft_bench::{build, schbench_util, Cli};
 use skyloft_metrics::Table;
 
 const WORKER_COUNTS: &[usize] = &[8, 16, 24, 32, 48, 64];
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let configs = build::fig5_configs();
     let mut header = vec!["workers".to_string()];
     header.extend(configs.iter().map(|(n, _)| format!("{n} p99(us)")));
@@ -50,7 +51,7 @@ fn main() {
         row.extend((0..configs.len()).map(|ci| format!("{:.0}", results[ci][wi])));
         t.row_owned(row);
     }
-    out::emit(
+    cli.emit(
         "fig5_schbench",
         "Figure 5: schbench wakeup latency (p99, us)",
         &t,

@@ -9,7 +9,7 @@
 use skyloft_apps::harness::{par_map, sweep_threads};
 use skyloft_apps::schbench::DEFAULT_WORK;
 use skyloft_bench::setup::FIG5_CORES;
-use skyloft_bench::{build, out, schbench_util};
+use skyloft_bench::{build, schbench_util, Cli};
 use skyloft_metrics::Table;
 use skyloft_policies::RoundRobin;
 use skyloft_sim::Nanos;
@@ -18,6 +18,7 @@ const WORKER_COUNTS: &[usize] = &[8, 16, 24, 32, 48, 64];
 const SLICES_US: &[u64] = &[5, 10, 25, 50, 100, 500];
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut header = vec!["workers".to_string()];
     header.extend(SLICES_US.iter().map(|s| format!("{s}us p99")));
     header.push("FIFO p99".to_string());
@@ -81,7 +82,7 @@ fn main() {
         t.row_owned(row);
         eprintln!("  workers={workers} done");
     }
-    out::emit(
+    cli.emit(
         "fig6_timeslice",
         "Figure 6: schbench p99 wakeup latency (us) vs RR time slice",
         &t,

@@ -10,7 +10,7 @@
 use skyloft_apps::harness::{run_sweep, SweepSpec};
 use skyloft_apps::synthetic::{dispersive, dispersive_threshold, Placement};
 use skyloft_bench::setup::{FIG7_LINUX_WORKERS, FIG7_QUANTUM, FIG7_WORKERS};
-use skyloft_bench::{build, out, scaled};
+use skyloft_bench::{build, out, scaled, Cli};
 use skyloft_metrics::Series;
 use skyloft_sim::Nanos;
 
@@ -21,37 +21,38 @@ fn rates() -> Vec<f64> {
         .collect()
 }
 
-fn spec(name: &str) -> SweepSpec {
+fn spec(cli: &Cli, name: &str) -> SweepSpec {
     SweepSpec {
         class_threshold: dispersive_threshold(),
         placement: Placement::Queue,
         warmup: scaled(Nanos::from_ms(100)),
         measure: scaled(Nanos::from_ms(400)),
-        ..SweepSpec::new(name, rates(), dispersive())
+        ..cli.sweep(name, rates(), dispersive())
     }
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut all: Vec<Series> = Vec::new();
 
-    let s = run_sweep(&spec("Skyloft (30us)"), &|| {
+    let s = run_sweep(&spec(&cli, "Skyloft (30us)"), &|| {
         build::skyloft_shinjuku(FIG7_WORKERS, Some(FIG7_QUANTUM), false)
     });
     all.push(s);
     eprintln!("  skyloft-30 done");
-    all.push(run_sweep(&spec("Skyloft (15us)"), &|| {
+    all.push(run_sweep(&spec(&cli, "Skyloft (15us)"), &|| {
         build::skyloft_shinjuku(FIG7_WORKERS, Some(Nanos::from_us(15)), false)
     }));
     eprintln!("  skyloft-15 done");
-    all.push(run_sweep(&spec("Shinjuku"), &|| {
+    all.push(run_sweep(&spec(&cli, "Shinjuku"), &|| {
         build::shinjuku(FIG7_WORKERS, Some(FIG7_QUANTUM))
     }));
     eprintln!("  shinjuku done");
-    all.push(run_sweep(&spec("ghOSt"), &|| {
+    all.push(run_sweep(&spec(&cli, "ghOSt"), &|| {
         build::ghost_shinjuku(FIG7_WORKERS, Some(FIG7_QUANTUM), false)
     }));
     eprintln!("  ghost done");
-    let mut linux_spec = spec("Linux CFS");
+    let mut linux_spec = spec(&cli, "Linux CFS");
     // Direct RSS pinning: Linux receives via kernel NAPI, not the DPDK
     // data plane, so the flow hash pins cores without bounded RX rings.
     linux_spec.placement = Placement::RssDirect {
@@ -63,13 +64,13 @@ fn main() {
     eprintln!("  linux done");
 
     let t = out::figure_table("offered kRPS", |p| p.p99_us, &all);
-    out::emit(
+    cli.emit(
         "fig7a_single",
         "Figure 7a: p99 latency (us) vs offered load",
         &t,
     );
     let t2 = out::figure_table("offered kRPS", |p| p.achieved_rps / 1000.0, &all);
-    out::emit(
+    cli.emit(
         "fig7a_tput",
         "Figure 7a: achieved kRPS vs offered load",
         &t2,

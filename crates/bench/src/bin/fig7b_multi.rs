@@ -12,7 +12,7 @@
 use skyloft_apps::harness::{run_sweep, SweepSpec};
 use skyloft_apps::synthetic::{dispersive, dispersive_threshold, Placement};
 use skyloft_bench::setup::{FIG7_LINUX_WORKERS, FIG7_QUANTUM, FIG7_WORKERS};
-use skyloft_bench::{build, out, scaled};
+use skyloft_bench::{build, out, scaled, Cli};
 use skyloft_metrics::Series;
 
 fn rates() -> Vec<f64> {
@@ -22,27 +22,28 @@ fn rates() -> Vec<f64> {
         .collect()
 }
 
-fn spec(name: &str) -> SweepSpec {
+fn spec(cli: &Cli, name: &str) -> SweepSpec {
     SweepSpec {
         class_threshold: dispersive_threshold(),
         placement: Placement::Queue,
         warmup: scaled(skyloft_sim::Nanos::from_ms(100)),
         measure: scaled(skyloft_sim::Nanos::from_ms(400)),
-        ..SweepSpec::new(name, rates(), dispersive())
+        ..cli.sweep(name, rates(), dispersive())
     }
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut all: Vec<Series> = Vec::new();
-    all.push(run_sweep(&spec("Skyloft+batch"), &|| {
+    all.push(run_sweep(&spec(&cli, "Skyloft+batch"), &|| {
         build::skyloft_shinjuku(FIG7_WORKERS, Some(FIG7_QUANTUM), true)
     }));
     eprintln!("  skyloft+batch done");
-    all.push(run_sweep(&spec("ghOSt+batch"), &|| {
+    all.push(run_sweep(&spec(&cli, "ghOSt+batch"), &|| {
         build::ghost_shinjuku(FIG7_WORKERS, Some(FIG7_QUANTUM), true)
     }));
     eprintln!("  ghost+batch done");
-    let mut linux_spec = spec("Linux CFS+batch");
+    let mut linux_spec = spec(&cli, "Linux CFS+batch");
     // Direct RSS pinning (kernel NAPI path, no DPDK rings) — see fig7a.
     linux_spec.placement = Placement::RssDirect {
         n: FIG7_LINUX_WORKERS,
@@ -53,7 +54,7 @@ fn main() {
     eprintln!("  linux+batch done");
     // Shinjuku cannot run the batch app; its latency series is the 7a one
     // and its batch share is identically zero.
-    let mut shinjuku = run_sweep(&spec("Shinjuku (no batch)"), &|| {
+    let mut shinjuku = run_sweep(&spec(&cli, "Shinjuku (no batch)"), &|| {
         build::shinjuku(FIG7_WORKERS, Some(FIG7_QUANTUM))
     });
     for p in &mut shinjuku.points {
@@ -63,13 +64,13 @@ fn main() {
     eprintln!("  shinjuku done");
 
     let t = out::figure_table("offered kRPS", |p| p.p99_us, &all);
-    out::emit(
+    cli.emit(
         "fig7b_multi",
         "Figure 7b: p99 latency (us) with batch co-location",
         &t,
     );
     let t2 = out::figure_table("offered kRPS", |p| p.be_share.unwrap_or(0.0) * 100.0, &all);
-    out::emit(
+    cli.emit(
         "fig7c_cpushare",
         "Figure 7c: batch application CPU share (%)",
         &t2,

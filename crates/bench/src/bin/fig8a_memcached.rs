@@ -10,7 +10,7 @@ use skyloft_apps::harness::{run_sweep, SweepSpec};
 use skyloft_apps::memcached::{usr_distribution, usr_threshold};
 use skyloft_apps::synthetic::Placement;
 use skyloft_bench::setup::FIG8A_WORKERS;
-use skyloft_bench::{build, out, scaled};
+use skyloft_bench::{build, out, scaled, Cli};
 use skyloft_sim::Nanos;
 
 fn rates() -> Vec<f64> {
@@ -20,31 +20,36 @@ fn rates() -> Vec<f64> {
         .collect()
 }
 
-fn spec(name: &str) -> SweepSpec {
+fn spec(cli: &Cli, name: &str) -> SweepSpec {
     SweepSpec {
         class_threshold: usr_threshold(),
         placement: Placement::Rss { n: FIG8A_WORKERS },
         warmup: scaled(Nanos::from_ms(50)),
         measure: scaled(Nanos::from_ms(200)),
-        ..SweepSpec::new(name, rates(), usr_distribution())
+        ..cli.sweep(name, rates(), usr_distribution())
     }
 }
 
 fn main() {
-    let sky = run_sweep(&spec("Skyloft"), &|| build::skyloft_ws(FIG8A_WORKERS, None));
+    let cli = Cli::parse(&[]);
+    let sky = run_sweep(&spec(&cli, "Skyloft"), &|| {
+        build::skyloft_ws(FIG8A_WORKERS, None)
+    });
     eprintln!("  skyloft done");
-    let shen = run_sweep(&spec("Shenango"), &|| build::shenango_ws(FIG8A_WORKERS));
+    let shen = run_sweep(&spec(&cli, "Shenango"), &|| {
+        build::shenango_ws(FIG8A_WORKERS)
+    });
     eprintln!("  shenango done");
 
     let all = vec![sky, shen];
     let t = out::figure_table("offered kRPS", |p| p.p99_us, &all);
-    out::emit(
+    cli.emit(
         "fig8a_memcached",
         "Figure 8a: Memcached USR p99 latency (us)",
         &t,
     );
     let t2 = out::figure_table("offered kRPS", |p| p.achieved_rps / 1000.0, &all);
-    out::emit("fig8a_tput", "Figure 8a: achieved kRPS", &t2);
+    cli.emit("fig8a_tput", "Figure 8a: achieved kRPS", &t2);
 
     const SLO_US: f64 = 100.0;
     let sky_max = all[0].max_tput_under_p99_slo(SLO_US);

@@ -12,7 +12,7 @@ use skyloft_apps::harness::{run_sweep, SweepSpec};
 use skyloft_apps::rocksdb::{bimodal_distribution, bimodal_threshold};
 use skyloft_apps::synthetic::Placement;
 use skyloft_bench::setup::FIG8B_WORKERS;
-use skyloft_bench::{build, out, scaled};
+use skyloft_bench::{build, out, scaled, Cli};
 use skyloft_metrics::Series;
 use skyloft_sim::Nanos;
 
@@ -23,32 +23,33 @@ fn rates() -> Vec<f64> {
         .collect()
 }
 
-fn spec(name: &str, workers: usize) -> SweepSpec {
+fn spec(cli: &Cli, name: &str, workers: usize) -> SweepSpec {
     SweepSpec {
         class_threshold: bimodal_threshold(),
         placement: Placement::Rss { n: workers },
         warmup: scaled(Nanos::from_ms(100)),
         measure: scaled(Nanos::from_ms(900)),
-        ..SweepSpec::new(name, rates(), bimodal_distribution())
+        ..cli.sweep(name, rates(), bimodal_distribution())
     }
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut all: Vec<Series> = Vec::new();
     for q_us in [5u64, 15, 30] {
         all.push(run_sweep(
-            &spec(&format!("Skyloft ({q_us}us)"), FIG8B_WORKERS),
+            &spec(&cli, &format!("Skyloft ({q_us}us)"), FIG8B_WORKERS),
             &|| build::skyloft_ws(FIG8B_WORKERS, Some(Nanos::from_us(q_us))),
         ));
         eprintln!("  skyloft-{q_us} done");
     }
-    all.push(run_sweep(&spec("Shenango", FIG8B_WORKERS), &|| {
+    all.push(run_sweep(&spec(&cli, "Shenango", FIG8B_WORKERS), &|| {
         build::shenango_ws(FIG8B_WORKERS)
     }));
     eprintln!("  shenango done");
     // utimer: one core sacrificed to emulate timers with user IPIs.
     all.push(run_sweep(
-        &spec("Skyloft-utimer (5us)", FIG8B_WORKERS - 1),
+        &spec(&cli, "Skyloft-utimer (5us)", FIG8B_WORKERS - 1),
         &|| build::skyloft_ws_utimer(FIG8B_WORKERS - 1, Nanos::from_us(5)),
     ));
     eprintln!("  utimer done");
@@ -58,7 +59,7 @@ fn main() {
         |p| p.slowdown_p999.unwrap_or(f64::NAN),
         &all,
     );
-    out::emit(
+    cli.emit(
         "fig8b_rocksdb",
         "Figure 8b: 99.9% slowdown vs offered load",
         &t,

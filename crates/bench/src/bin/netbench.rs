@@ -11,17 +11,17 @@
 //! client timeout — p99 is bounded by the timeout no matter how far past
 //! saturation the sweep pushes.
 //!
-//! Results go to `results/netbench.csv`; `--write` records the direct
-//! series as `pre_change` and the NIC series as `current` in the repo-root
-//! `BENCH_net.json`; `--check` re-runs the sweep and gates CI on the
-//! semantic shape (NIC overload p99 bounded by the timeout, drops
+//! Results go to `netbench.csv`; `--write` records the direct series as
+//! `pre_change` and the NIC series as `current` in the repo-root
+//! `BENCH_net.json`; `--check` gates CI on the semantic shape (NIC overload p99 bounded by the timeout, drops
 //! observed, direct tail far worse) plus a regression bound against the
 //! stored NIC numbers.
 
-use skyloft_apps::harness::{par_map, sweep_threads, trace_arg};
+use skyloft_apps::harness::{par_map, sweep_threads};
 use skyloft_apps::memcached::{usr_distribution, usr_threshold};
 use skyloft_apps::synthetic::{install_open_loop_net, Placement};
-use skyloft_bench::{build, out, scaled};
+use skyloft_bench::baseline::{Baseline, Gate, Section};
+use skyloft_bench::{build, scaled, Cli};
 use skyloft_metrics::Table;
 use skyloft_net::loadgen::{NetProfile, OpenLoop};
 use skyloft_sim::Nanos;
@@ -31,6 +31,12 @@ const WORKERS: usize = 4;
 /// must respect past saturation.
 const TIMEOUT: Nanos = Nanos::from_ms(1);
 const SEED: u64 = 0x6E65_7462; // "netb"
+
+/// The NIC path's overload tail may not grow past 1.3x the stored one.
+const BASELINE: Baseline = Baseline {
+    file: "BENCH_net.json",
+    gates: &[Gate::at_most("current", "overload_p99_us", 1.3)],
+};
 
 /// Offered rates in rps. 4 workers x (1.5 us GET + ~0.5 us stack) put
 /// capacity near 2.0 M rps; the last two points are past saturation.
@@ -101,95 +107,55 @@ fn run_series(placement: &Placement) -> Vec<NetPoint> {
     })
 }
 
-use skyloft_bench::baseline::{extract, net_baseline_path as baseline_path, upsert_section};
-
-/// The metrics a series contributes to the baseline file: the knee-side
+/// The metrics a series contributes to the baseline: the knee-side
 /// point (last rate under nominal capacity) and the overload point (last
 /// rate of the sweep).
-fn series_json(points: &[NetPoint], indent: &str) -> String {
+fn section(name: &str, points: &[NetPoint]) -> Section {
     let sat = &points[points.len() - 3]; // 1.8 M — just under capacity
     let over = points.last().expect("sweep has points");
-    format!(
-        "{indent}\"sat_p99_us\": {:.1},\n\
-         {indent}\"overload_p99_us\": {:.1},\n\
-         {indent}\"overload_p999_us\": {:.1},\n\
-         {indent}\"overload_achieved_rps\": {:.0},\n\
-         {indent}\"overload_drops\": {},\n\
-         {indent}\"overload_occ_max\": {}",
-        sat.p99_us, over.p99_us, over.p999_us, over.achieved_rps, over.drops, over.occ_max
+    Section::new(
+        name,
+        [
+            ("sat_p99_us", sat.p99_us, 1),
+            ("overload_p99_us", over.p99_us, 1),
+            ("overload_p999_us", over.p999_us, 1),
+            ("overload_achieved_rps", over.achieved_rps, 0),
+            ("overload_drops", over.drops as f64, 0),
+            ("overload_occ_max", over.occ_max as f64, 0),
+        ],
     )
 }
 
-/// Splices this bench's two sections into the shared baseline, leaving
-/// other benches' sections (overload_sweep's) untouched.
-fn write_baseline(direct: &[NetPoint], nic: &[NetPoint]) {
-    let path = baseline_path();
-    let r = upsert_section(&path, "pre_change", &series_json(direct, "    "))
-        .and_then(|()| upsert_section(&path, "current", &series_json(nic, "    ")));
-    match r {
-        Ok(()) => eprintln!("netbench: wrote {}", path.display()),
-        Err(e) => eprintln!("netbench: failed to write {}: {e}", path.display()),
-    }
-}
-
-fn check_baseline(direct: &[NetPoint], nic: &[NetPoint]) -> bool {
+fn shape(direct: &[NetPoint], nic: &[NetPoint]) -> Vec<String> {
     let timeout_us = TIMEOUT.0 as f64 / 1000.0;
     let nic_over = nic.last().expect("sweep has points");
     let direct_over = direct.last().expect("sweep has points");
-    let mut ok = true;
+    let mut fails = Vec::new();
     // (1) Bounded tail past saturation: the NIC path's p99 may not exceed
     // the client timeout by more than measurement slack.
     if nic_over.p99_us > timeout_us * 1.15 {
-        eprintln!(
-            "netbench: FAIL — NIC overload p99 {:.1} us exceeds the {:.0} us client timeout",
-            nic_over.p99_us, timeout_us
-        );
-        ok = false;
+        fails.push(format!(
+            "NIC overload p99 {:.1} us exceeds the {timeout_us:.0} us client timeout",
+            nic_over.p99_us
+        ));
     }
     // (2) Overload must manifest as tail-drops, not hidden queues.
     if nic_over.drops == 0 {
-        eprintln!("netbench: FAIL — no RX ring drops at {} rps", nic_over.rate);
-        ok = false;
+        fails.push(format!("no RX ring drops at {} rps", nic_over.rate));
     }
     // (3) The pre-change path demonstrates the bug: its overload tail is
     // an unbounded queue, far beyond the NIC path's timeout-bounded tail.
     if direct_over.p99_us < 1.5 * nic_over.p99_us {
-        eprintln!(
-            "netbench: FAIL — direct overload p99 {:.1} us should dwarf NIC's {:.1} us",
+        fails.push(format!(
+            "direct overload p99 {:.1} us should dwarf NIC's {:.1} us",
             direct_over.p99_us, nic_over.p99_us
-        );
-        ok = false;
+        ));
     }
-    // (4) Regression bound vs the stored NIC numbers, when present.
-    if let Ok(json) = std::fs::read_to_string(baseline_path()) {
-        if let Some(base) = extract(&json, "current", "overload_p99_us") {
-            if nic_over.p99_us > base * 1.3 {
-                eprintln!(
-                    "netbench: REGRESSION — NIC overload p99 {:.1} us vs baseline {base:.1} us",
-                    nic_over.p99_us
-                );
-                ok = false;
-            } else {
-                eprintln!(
-                    "netbench: NIC overload p99 {:.1} us vs baseline {base:.1} us — ok",
-                    nic_over.p99_us
-                );
-            }
-        }
-    } else {
-        eprintln!(
-            "netbench: no baseline at {} — semantic checks only",
-            baseline_path().display()
-        );
-    }
-    ok
+    fails
 }
 
 fn main() {
-    let _ = trace_arg();
-    let args = skyloft_bench::positional_args();
-    let write = args.iter().any(|a| a == "--write");
-    let check = args.iter().any(|a| a == "--check");
+    let cli = Cli::parse(&["--check", "--write"]);
 
     eprintln!("netbench: sweeping direct (pre-change) path...");
     let direct = run_series(&Placement::RssDirect { n: WORKERS });
@@ -222,7 +188,7 @@ fn main() {
             ]);
         }
     }
-    out::emit(
+    cli.emit(
         "netbench",
         "NIC data plane: USR p99 vs load past saturation (direct vs rings)",
         &t,
@@ -236,10 +202,6 @@ fn main() {
         direct.last().expect("sweep has points").p99_us
     );
 
-    if write {
-        write_baseline(&direct, &nic);
-    }
-    if check && !check_baseline(&direct, &nic) {
-        std::process::exit(1);
-    }
+    let sections = [section("pre_change", &direct), section("current", &nic)];
+    cli.finish(&BASELINE, &sections, || shape(&direct, &nic));
 }

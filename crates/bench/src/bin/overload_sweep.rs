@@ -13,20 +13,19 @@
 //! controller sheds early instead — goodput plateaus near capacity and
 //! the served p99 hugs the SLO out to 3x offered load.
 //!
-//! Results go to `results/overload_sweep.csv`; `--write` splices the two
-//! series into the repo-root `BENCH_net.json` (sections `overload_ctl` /
-//! `overload_tail_drop`, leaving netbench's sections untouched);
-//! `--check` re-runs the sweep and gates CI on the semantic shape
-//! (goodput plateau, SLO-bounded served tail, tail-drop collapse) plus a
+//! Results go to `overload_sweep.csv`; `--write` records the two series
+//! as sections `overload_ctl` / `overload_tail_drop` of the repo-root
+//! `BENCH_net.json`; `--check` gates CI on the semantic shape (goodput
+//! plateau, SLO-bounded served tail, tail-drop collapse) plus a
 //! regression bound against the stored goodput. `--smoke` shortens the
 //! windows to the CI configuration.
 
 use skyloft::BrownoutConfig;
-use skyloft_apps::harness::{par_map, sweep_threads, trace_arg};
+use skyloft_apps::harness::{par_map, sweep_threads};
 use skyloft_apps::memcached::{usr_distribution, usr_threshold};
 use skyloft_apps::synthetic::{install_open_loop_ctl, OverloadControl};
-use skyloft_bench::baseline::{extract, net_baseline_path, upsert_section};
-use skyloft_bench::{build, out, scaled};
+use skyloft_bench::baseline::{Baseline, Gate, Section};
+use skyloft_bench::{build, scaled, Cli};
 use skyloft_metrics::Table;
 use skyloft_net::dataplane::NicConfig;
 use skyloft_net::loadgen::OpenLoop;
@@ -56,6 +55,12 @@ fn rates() -> Vec<f64> {
 
 /// Index of the 2x-saturation point the acceptance gates key on.
 const TWO_X: usize = 4;
+
+/// Controller goodput at 2x may not fall below 90% of the stored one.
+const BASELINE: Baseline = Baseline {
+    file: "BENCH_net.json",
+    gates: &[Gate::at_least("overload_ctl", "goodput_2x_rps", 0.9)],
+};
 
 /// The controller configuration under test. The admission deadline
 /// carries headroom below the client SLO: its backlog model covers ring
@@ -152,109 +157,66 @@ fn run_series(ctl_on: bool, smoke: bool) -> Vec<OverPoint> {
 
 /// The metrics a series contributes to the baseline: the 2x-saturation
 /// gate point plus the series' peak goodput.
-fn series_json(points: &[OverPoint], indent: &str) -> String {
+fn section(name: &str, points: &[OverPoint]) -> Section {
     let peak = points.iter().map(|p| p.goodput_rps).fold(0.0, f64::max);
     let p = &points[TWO_X];
-    format!(
-        "{indent}\"peak_goodput_rps\": {:.0},\n\
-         {indent}\"goodput_2x_rps\": {:.0},\n\
-         {indent}\"served_p99_2x_us\": {:.1},\n\
-         {indent}\"aqm_drops_2x\": {},\n\
-         {indent}\"admission_sheds_2x\": {},\n\
-         {indent}\"retries_2x\": {},\n\
-         {indent}\"ring_drops_2x\": {}",
-        peak,
-        p.goodput_rps,
-        p.p99_us,
-        p.aqm_drops,
-        p.admission_sheds,
-        p.retries_spent,
-        p.ring_drops
+    Section::new(
+        name,
+        [
+            ("peak_goodput_rps", peak, 0),
+            ("goodput_2x_rps", p.goodput_rps, 0),
+            ("served_p99_2x_us", p.p99_us, 1),
+            ("aqm_drops_2x", p.aqm_drops as f64, 0),
+            ("admission_sheds_2x", p.admission_sheds as f64, 0),
+            ("retries_2x", p.retries_spent as f64, 0),
+            ("ring_drops_2x", p.ring_drops as f64, 0),
+        ],
     )
 }
 
-fn write_baseline(ctl: &[OverPoint], tail: &[OverPoint]) {
-    let path = net_baseline_path();
-    let r = upsert_section(&path, "overload_ctl", &series_json(ctl, "    "))
-        .and_then(|()| upsert_section(&path, "overload_tail_drop", &series_json(tail, "    ")));
-    match r {
-        Ok(()) => eprintln!("overload_sweep: wrote {}", path.display()),
-        Err(e) => eprintln!("overload_sweep: failed to write {}: {e}", path.display()),
-    }
-}
-
-fn check(ctl: &[OverPoint], tail: &[OverPoint]) -> bool {
+fn shape(ctl: &[OverPoint], tail: &[OverPoint]) -> Vec<String> {
     let slo_us = SLO.0 as f64 / 1000.0;
     let peak = ctl.iter().map(|p| p.goodput_rps).fold(0.0, f64::max);
     let at2x = &ctl[TWO_X];
     let tail2x = &tail[TWO_X];
-    let mut ok = true;
+    let mut fails = Vec::new();
     // (1) Goodput plateau: at 2x saturation the controller must hold at
     // least 85% of the series' peak goodput.
     if at2x.goodput_rps < 0.85 * peak {
-        eprintln!(
-            "overload_sweep: FAIL — goodput at 2x {:.0} rps fell below 85% of peak {:.0} rps",
-            at2x.goodput_rps, peak
-        );
-        ok = false;
+        fails.push(format!(
+            "goodput at 2x {:.0} rps fell below 85% of peak {peak:.0} rps",
+            at2x.goodput_rps
+        ));
     }
     // (2) What the controller serves lands inside the SLO (15%
     // measurement slack, as netbench grants its timeout bound).
     if at2x.p99_us > slo_us * 1.15 {
-        eprintln!(
-            "overload_sweep: FAIL — served p99 at 2x {:.1} us exceeds the {slo_us:.0} us SLO",
+        fails.push(format!(
+            "served p99 at 2x {:.1} us exceeds the {slo_us:.0} us SLO",
             at2x.p99_us
-        );
-        ok = false;
+        ));
     }
     // (3) Overload must manifest as early sheds, not hidden queues.
     if at2x.admission_sheds == 0 || at2x.aqm_drops == 0 {
-        eprintln!(
-            "overload_sweep: FAIL — controller never shed at 2x (aqm {}, admission {})",
+        fails.push(format!(
+            "controller never shed at 2x (aqm {}, admission {})",
             at2x.aqm_drops, at2x.admission_sheds
-        );
-        ok = false;
+        ));
     }
     // (4) The tail-drop path demonstrates the failure mode: its 2x
     // goodput collapses to a fraction of the controller's.
     if tail2x.goodput_rps > 0.5 * at2x.goodput_rps {
-        eprintln!(
-            "overload_sweep: FAIL — tail-drop goodput {:.0} rps should collapse vs controller {:.0} rps",
+        fails.push(format!(
+            "tail-drop goodput {:.0} rps should collapse vs controller {:.0} rps",
             tail2x.goodput_rps, at2x.goodput_rps
-        );
-        ok = false;
+        ));
     }
-    // (5) Regression bound vs the stored controller goodput, if present.
-    if let Ok(json) = std::fs::read_to_string(net_baseline_path()) {
-        if let Some(base) = extract(&json, "overload_ctl", "goodput_2x_rps") {
-            if at2x.goodput_rps < base * 0.9 {
-                eprintln!(
-                    "overload_sweep: REGRESSION — goodput at 2x {:.0} rps vs baseline {base:.0} rps",
-                    at2x.goodput_rps
-                );
-                ok = false;
-            } else {
-                eprintln!(
-                    "overload_sweep: goodput at 2x {:.0} rps vs baseline {base:.0} rps — ok",
-                    at2x.goodput_rps
-                );
-            }
-        }
-    } else {
-        eprintln!(
-            "overload_sweep: no baseline at {} — semantic checks only",
-            net_baseline_path().display()
-        );
-    }
-    ok
+    fails
 }
 
 fn main() {
-    let _ = trace_arg();
-    let args = skyloft_bench::positional_args();
-    let write = args.iter().any(|a| a == "--write");
-    let do_check = args.iter().any(|a| a == "--check");
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let cli = Cli::parse(&["--check", "--write", "--smoke"]);
+    let smoke = cli.smoke;
 
     eprintln!("overload_sweep: sweeping tail-drop (controller off)...");
     let tail = run_series(false, smoke);
@@ -291,7 +253,7 @@ fn main() {
             ]);
         }
     }
-    out::emit(
+    cli.emit(
         "overload_sweep",
         "Overload control: USR goodput + served p99 vs load, 0.5x-3x saturation",
         &t,
@@ -309,10 +271,9 @@ fn main() {
         at2x.retries_spent
     );
 
-    if write {
-        write_baseline(&ctl, &tail);
-    }
-    if do_check && !check(&ctl, &tail) {
-        std::process::exit(1);
-    }
+    let sections = [
+        section("overload_ctl", &ctl),
+        section("overload_tail_drop", &tail),
+    ];
+    cli.finish(&BASELINE, &sections, || shape(&ctl, &tail));
 }

@@ -4,10 +4,9 @@
 //! oracles in `skyloft_policies::reference` (DESIGN.md §14), plus an
 //! end-to-end high-population machine sweep on EEVDF.
 //!
-//! Results go to `results/polbench.csv`; `--write` records them into the
-//! repo-root `BENCH_policy.json` (one section per policy, spliced with
-//! `baseline::upsert_section` so other benches' sections survive), with
-//! the oracle's numbers alongside as the pre-optimization reference.
+//! Results go to `polbench.csv`; `--write` records them into the
+//! repo-root `BENCH_policy.json` (one section per policy), with the
+//! oracle's numbers alongside as the pre-optimization reference.
 //! `--check` is the CI gate: it fails on a >30% pick-throughput
 //! regression against the stored baseline, and it fails outright if
 //! EEVDF's pick throughput at the 4096-task population is not at least
@@ -19,25 +18,37 @@ use std::time::Instant;
 use skyloft::ops::{EnqueueFlags, Policy, SchedEnv};
 use skyloft::task::{Task, TaskId, TaskTable};
 use skyloft::SchedParams;
-use skyloft_apps::harness::trace_arg;
 use skyloft_apps::schbench;
-use skyloft_bench::{baseline, build, out, scaled};
+use skyloft_bench::baseline::{Baseline, Gate, Section};
+use skyloft_bench::{build, fast_factor, scaled, Cli};
 use skyloft_metrics::Table;
 use skyloft_policies::{cfs, eevdf, reference, rr, shinjuku, shinjuku_shenango, work_stealing};
 use skyloft_sim::Nanos;
 
 const POPULATIONS: [usize; 4] = [16, 256, 4096, 65536];
 const WORKER_CORES: usize = 4;
-/// The population the CI gate and the baseline floor key on.
+/// The population the CI gate and the baseline floors key on.
 const GATE_POP: usize = 4096;
 const GATE_SPEEDUP: f64 = 5.0;
+
+/// 30% pick-throughput floors at [`GATE_POP`] for the optimized
+/// policies; the oracles are the yardstick, not the product.
+const BASELINE: Baseline = Baseline {
+    file: "BENCH_policy.json",
+    gates: &[
+        Gate::at_least("eevdf", "picks_per_sec_4096", 0.7),
+        Gate::at_least("cfs", "picks_per_sec_4096", 0.7),
+        Gate::at_least("rr", "picks_per_sec_4096", 0.7),
+        Gate::at_least("work_stealing", "picks_per_sec_4096", 0.7),
+        Gate::at_least("shinjuku", "picks_per_sec_4096", 0.7),
+        Gate::at_least("shinjuku_shenango", "picks_per_sec_4096", 0.7),
+    ],
+};
 
 /// One policy variant under test.
 struct Contender {
     /// Section name in `BENCH_policy.json` / row label in the CSV.
     name: &'static str,
-    /// `true` for the frozen `reference` module oracle.
-    oracle: bool,
     mk: fn() -> Box<dyn Policy>,
 }
 
@@ -48,57 +59,46 @@ fn contenders() -> Vec<Contender> {
     vec![
         Contender {
             name: "eevdf",
-            oracle: false,
             mk: || b(eevdf::Eevdf::new(SchedParams::SKYLOFT_EEVDF)),
         },
         Contender {
             name: "eevdf_oracle",
-            oracle: true,
             mk: || b(reference::Eevdf::new(SchedParams::SKYLOFT_EEVDF)),
         },
         Contender {
             name: "cfs",
-            oracle: false,
             mk: || b(cfs::Cfs::new(SchedParams::SKYLOFT_CFS)),
         },
         Contender {
             name: "cfs_oracle",
-            oracle: true,
             mk: || b(reference::Cfs::new(SchedParams::SKYLOFT_CFS)),
         },
         Contender {
             name: "rr",
-            oracle: false,
             mk: || b(rr::RoundRobin::new(Some(Nanos::from_us(20)))),
         },
         Contender {
             name: "rr_oracle",
-            oracle: true,
             mk: || b(reference::RoundRobin::new(Some(Nanos::from_us(20)))),
         },
         Contender {
             name: "work_stealing",
-            oracle: false,
             mk: || b(work_stealing::WorkStealing::new(Some(Nanos::from_us(20)))),
         },
         Contender {
             name: "work_stealing_oracle",
-            oracle: true,
             mk: || b(reference::WorkStealing::new(Some(Nanos::from_us(20)))),
         },
         Contender {
             name: "shinjuku",
-            oracle: false,
             mk: || b(shinjuku::Shinjuku::new(Some(Nanos::from_us(20)))),
         },
         Contender {
             name: "shinjuku_oracle",
-            oracle: true,
             mk: || b(reference::Shinjuku::new(Some(Nanos::from_us(20)))),
         },
         Contender {
             name: "shinjuku_shenango",
-            oracle: false,
             mk: || {
                 b(shinjuku_shenango::ShinjukuShenango::new(Some(
                     Nanos::from_us(20),
@@ -107,7 +107,6 @@ fn contenders() -> Vec<Contender> {
         },
         Contender {
             name: "shinjuku_shenango_oracle",
-            oracle: true,
             mk: || b(reference::ShinjukuShenango::new(Some(Nanos::from_us(20)))),
         },
     ]
@@ -131,12 +130,7 @@ fn iters_for(n: usize) -> usize {
         1025..=8192 => 20_000,
         _ => 2_000,
     };
-    let fast = std::env::var("SKYLOFT_FAST")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&f| f > 1)
-        .unwrap_or(1);
-    (base / fast).max(100)
+    (base / fast_factor() as usize).max(100)
 }
 
 /// Measures one policy at one population: enqueue all `n` tasks, run the
@@ -238,30 +232,25 @@ fn run_end_to_end() -> f64 {
     events as f64 / t0.elapsed().as_secs_f64()
 }
 
-/// `(contender name, is_oracle, per-population samples)`.
-type ContenderResult = (&'static str, bool, Vec<(usize, PopSample)>);
+/// `(contender name, per-population samples)`.
+type ContenderResult = (&'static str, Vec<(usize, PopSample)>);
 
-fn section_body(samples: &[(usize, PopSample)]) -> String {
-    let mut lines = Vec::new();
-    for (n, s) in samples {
-        lines.push(format!("    \"enqueue_ns_{n}\": {:.1},", s.enqueue_ns));
-        lines.push(format!("    \"pick_ns_{n}\": {:.1},", s.pick_ns));
-        lines.push(format!("    \"dequeue_ns_{n}\": {:.1},", s.dequeue_ns));
-        lines.push(format!(
-            "    \"picks_per_sec_{n}\": {:.0},",
-            s.picks_per_sec
-        ));
-    }
-    let mut body = lines.join("\n");
-    body.pop(); // drop the trailing comma
-    body
+fn section(name: &str, samples: &[(usize, PopSample)]) -> Section {
+    Section::new(
+        name,
+        samples.iter().flat_map(|(n, s)| {
+            [
+                (format!("enqueue_ns_{n}"), s.enqueue_ns, 1),
+                (format!("pick_ns_{n}"), s.pick_ns, 1),
+                (format!("dequeue_ns_{n}"), s.dequeue_ns, 1),
+                (format!("picks_per_sec_{n}"), s.picks_per_sec, 0),
+            ]
+        }),
+    )
 }
 
 fn main() {
-    let _ = trace_arg();
-    let args = skyloft_bench::positional_args();
-    let write = args.iter().any(|a| a == "--write");
-    let check = args.iter().any(|a| a == "--check");
+    let cli = Cli::parse(&["--check", "--write"]);
 
     let mut t = Table::new(&[
         "policy",
@@ -287,76 +276,47 @@ fn main() {
             ]);
             samples.push((n, s));
         }
-        results.push((c.name, c.oracle, samples));
+        results.push((c.name, samples));
     }
     eprintln!("polbench: measuring end-to-end high-population sweep...");
     let e2e_events_per_sec = run_end_to_end();
-    out::emit("polbench", "Policy hot-path microbenchmark", &t);
+    cli.emit("polbench", "Policy hot-path microbenchmark", &t);
     println!("end-to-end eevdf schbench events/sec: {e2e_events_per_sec:.0}");
 
     let gate_pick = |name: &str| -> f64 {
         results
             .iter()
-            .find(|(n, _, _)| *n == name)
-            .and_then(|(_, _, s)| s.iter().find(|(p, _)| *p == GATE_POP))
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, s)| s.iter().find(|(p, _)| *p == GATE_POP))
             .map(|(_, s)| s.picks_per_sec)
             .unwrap_or(0.0)
     };
     let speedup = gate_pick("eevdf") / gate_pick("eevdf_oracle").max(1.0);
     println!("eevdf pick speedup vs oracle at {GATE_POP} tasks: {speedup:.1}x");
 
-    if write {
-        let path = baseline::policy_baseline_path();
-        let mut ok = true;
-        for (name, _, samples) in &results {
-            ok &= baseline::upsert_section(&path, name, &section_body(samples)).is_ok();
-        }
-        let e2e = format!(
-            "    \"eevdf_schbench_events_per_sec\": {e2e_events_per_sec:.0},\n    \"eevdf_speedup_vs_oracle_{GATE_POP}\": {speedup:.1}"
-        );
-        ok &= baseline::upsert_section(&path, "end_to_end", &e2e).is_ok();
-        if ok {
-            eprintln!("polbench: wrote {}", path.display());
-        } else {
-            eprintln!("polbench: failed to write {}", path.display());
-        }
-    }
-
-    if check {
-        let mut ok = true;
+    let mut sections: Vec<Section> = results
+        .iter()
+        .map(|(name, samples)| section(name, samples))
+        .collect();
+    sections.push(Section::new(
+        "end_to_end",
+        [
+            (
+                "eevdf_schbench_events_per_sec".to_string(),
+                e2e_events_per_sec,
+                0,
+            ),
+            (format!("eevdf_speedup_vs_oracle_{GATE_POP}"), speedup, 1),
+        ],
+    ));
+    cli.finish(&BASELINE, &sections, || {
         if speedup < GATE_SPEEDUP {
-            eprintln!(
-                "polbench: GATE FAILURE: eevdf pick throughput at {GATE_POP} tasks is only \
-                 {speedup:.1}x the oracle (need >= {GATE_SPEEDUP:.0}x)"
-            );
-            ok = false;
+            vec![format!(
+                "eevdf pick throughput at {GATE_POP} tasks is only {speedup:.1}x the oracle \
+                 (need >= {GATE_SPEEDUP:.0}x)"
+            )]
+        } else {
+            Vec::new()
         }
-        let json = std::fs::read_to_string(baseline::policy_baseline_path()).unwrap_or_default();
-        for (name, oracle, samples) in &results {
-            if *oracle {
-                continue; // the oracles are the yardstick, not the product
-            }
-            let key = format!("picks_per_sec_{GATE_POP}");
-            let Some(base) = baseline::extract(&json, name, &key) else {
-                continue;
-            };
-            let measured = samples
-                .iter()
-                .find(|(p, _)| *p == GATE_POP)
-                .map(|(_, s)| s.picks_per_sec)
-                .unwrap_or(0.0);
-            if measured < base * 0.7 {
-                eprintln!(
-                    "polbench: REGRESSION on {name} {key}: measured {measured:.0} < 70% of \
-                     baseline {base:.0}"
-                );
-                ok = false;
-            } else {
-                eprintln!("polbench: {name} {key} {measured:.0} vs baseline {base:.0} — ok");
-            }
-        }
-        if !ok {
-            std::process::exit(1);
-        }
-    }
+    });
 }

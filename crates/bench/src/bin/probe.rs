@@ -6,15 +6,16 @@
 //! Usage: `probe [ghost|sky|shinjuku] [rate_rps]`.
 use skyloft_apps::harness::{run_point, SweepSpec};
 use skyloft_apps::synthetic::{dispersive, dispersive_threshold, Placement};
-use skyloft_bench::build;
+use skyloft_bench::{build, Cli};
 use skyloft_sim::Nanos;
 
 fn main() {
-    let args = skyloft_bench::positional_args();
-    let sys = args.first().map(|s| s.as_str()).unwrap_or("ghost");
-    let rate: f64 = args
+    let cli = Cli::parse(&["SYSTEM", "RATE"]);
+    let sys = cli.args.first().map(|s| s.as_str()).unwrap_or("ghost");
+    let rate: f64 = cli
+        .args
         .get(1)
-        .and_then(|s| s.parse().ok())
+        .map(|s| s.parse().expect("RATE is requests per second"))
         .unwrap_or(350_000.0);
     let spec = SweepSpec {
         class_threshold: dispersive_threshold(),
@@ -43,7 +44,7 @@ fn main() {
     m.run(&mut q, Nanos::from_ms(50));
     m.reset_stats(q.now());
     m.run(&mut q, Nanos::from_ms(250));
-    skyloft_bench::dump_trace(&m, sys);
+    cli.dump_trace(&m, sys);
     println!(
         "{sys}@{rate}: completed={} achieved={:.0} p99={:.1}us preempt={} spurious={} queue_len={:?}",
         m.stats.completed,

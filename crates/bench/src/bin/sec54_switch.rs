@@ -10,8 +10,8 @@ use skyloft::builtin::GlobalFifo;
 use skyloft::machine::{AppKind, Event, Machine, MachineConfig};
 use skyloft::Platform;
 use skyloft_baselines::linux;
-use skyloft_bench::out;
 use skyloft_bench::setup::SEED;
+use skyloft_bench::Cli;
 use skyloft_hw::Topology;
 use skyloft_metrics::Table;
 use skyloft_sim::{EventQueue, Nanos};
@@ -21,8 +21,8 @@ const WORK: Nanos = Nanos::from_us(2);
 
 /// Runs `2 * N_PAIRS` tasks alternating between two apps (or one app) on a
 /// single core; returns the measured per-switch overhead in ns. `label`
-/// names the run in a `--trace` dump (later runs overwrite earlier ones).
-fn measure(plat: Platform, two_apps: bool, label: &str) -> (f64, u64) {
+/// names the run's `--trace` dump file.
+fn measure(cli: &Cli, plat: Platform, two_apps: bool, label: &str) -> (f64, u64) {
     let cfg = MachineConfig {
         plat,
         n_workers: 1,
@@ -49,15 +49,17 @@ fn measure(plat: Platform, two_apps: bool, label: &str) -> (f64, u64) {
     let total = m.stats.last_completion - t0;
     let compute = WORK * (2 * N_PAIRS);
     let overhead_per_switch = (total - compute).0 as f64 / (2 * N_PAIRS) as f64;
-    skyloft_bench::dump_trace(&m, label);
+    cli.dump_trace(&m, label);
     (overhead_per_switch, m.stats.app_switches)
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let topo = Topology::single(2);
     let mut t = Table::new(&["path", "measured ns/switch", "paper ns", "app switches"]);
 
     let (same, sw) = measure(
+        &cli,
         Platform::skyloft_percpu(topo, 100_000),
         false,
         "skyloft same-app",
@@ -70,6 +72,7 @@ fn main() {
     ]);
 
     let (cross, sw) = measure(
+        &cli,
         Platform::skyloft_percpu(topo, 100_000),
         true,
         "skyloft inter-app",
@@ -81,7 +84,7 @@ fn main() {
         sw.to_string(),
     ]);
 
-    let (lin, _) = measure(linux::platform(topo, 1_000), false, "linux kthreads");
+    let (lin, _) = measure(&cli, linux::platform(topo, 1_000), false, "linux kthreads");
     t.row_owned(vec![
         "Linux kthread switch (runnable)".into(),
         format!("{lin:.0}"),
@@ -98,7 +101,7 @@ fn main() {
         "-".into(),
     ]);
 
-    out::emit("sec54_switch", "§5.4: thread switching costs", &t);
+    cli.emit("sec54_switch", "§5.4: thread switching costs", &t);
     assert!(
         cross > 10.0 * same,
         "inter-app must dwarf same-app switches"

@@ -14,8 +14,8 @@
 //! batch tenant absent). The 0.5x point offers zero batch load, pinning
 //! the degenerate empty-schedule path through the tenant installer.
 //!
-//! Results go to `results/slo_sweep.csv`; `--write` records the gate
-//! metrics as the `slo_sweep` section of the repo-root `BENCH_net.json`;
+//! Results go to `slo_sweep.csv`; `--write` records the gate metrics as
+//! the `slo_sweep` section of the repo-root `BENCH_net.json`;
 //! `--check` gates CI on the isolation shape plus a regression bound
 //! against the stored LC goodput; `--smoke` shortens the windows to the
 //! CI configuration; `--seed N` reseeds machine and generators (CI runs
@@ -25,10 +25,10 @@ use skyloft::builtin::GlobalFifo;
 use skyloft::conf::{RunqueueAqmConfig, SloClass};
 use skyloft::machine::{AppKind, Event, Machine, MachineConfig};
 use skyloft::Platform;
-use skyloft_apps::harness::{par_map, sweep_threads, trace_arg};
+use skyloft_apps::harness::{par_map, sweep_threads};
 use skyloft_apps::synthetic::{install_tenants, OverloadControl, Tenant};
-use skyloft_bench::baseline::{extract, net_baseline_path, upsert_section};
-use skyloft_bench::{out, scaled};
+use skyloft_bench::baseline::{Baseline, Gate, Section};
+use skyloft_bench::{scaled, Cli};
 use skyloft_hw::Topology;
 use skyloft_metrics::Table;
 use skyloft_net::dataplane::NicConfig;
@@ -57,6 +57,12 @@ fn mults() -> Vec<f64> {
 /// Indices of the overload gate points (2x and 3x total load).
 const TWO_X: usize = 4;
 const THREE_X: usize = 6;
+
+/// LC goodput at 2x may not fall below 90% of the stored one.
+const BASELINE: Baseline = Baseline {
+    file: "BENCH_net.json",
+    gates: &[Gate::at_least("slo_sweep", "lc_goodput_2x_rps", 0.9)],
+};
 
 /// Batch rps for a total-load multiple: the cores of demand left after
 /// the LC tenant's fixed two, divided by the batch service time.
@@ -211,115 +217,80 @@ fn run_point(mult: f64, solo: bool, seed: u64, smoke: bool) -> SloPoint {
     }
 }
 
-fn series_json(solo: &SloPoint, points: &[SloPoint], indent: &str) -> String {
+fn section(solo: &SloPoint, points: &[SloPoint]) -> Section {
     let p2 = &points[TWO_X];
     let p3 = &points[THREE_X];
-    format!(
-        "{indent}\"lc_solo_goodput_rps\": {:.0},\n\
-         {indent}\"lc_goodput_2x_rps\": {:.0},\n\
-         {indent}\"lc_goodput_3x_rps\": {:.0},\n\
-         {indent}\"batch_goodput_2x_rps\": {:.0},\n\
-         {indent}\"lc_p99_2x_us\": {:.1},\n\
-         {indent}\"rq_sheds_2x\": {},\n\
-         {indent}\"admission_sheds_2x\": {}",
-        solo.lc_goodput_rps,
-        p2.lc_goodput_rps,
-        p3.lc_goodput_rps,
-        p2.batch_goodput_rps,
-        p2.lc_p99_us,
-        p2.rq_sheds,
-        p2.adm_sheds[0] + p2.adm_sheds[1],
+    Section::new(
+        "slo_sweep",
+        [
+            ("lc_solo_goodput_rps", solo.lc_goodput_rps, 0),
+            ("lc_goodput_2x_rps", p2.lc_goodput_rps, 0),
+            ("lc_goodput_3x_rps", p3.lc_goodput_rps, 0),
+            ("batch_goodput_2x_rps", p2.batch_goodput_rps, 0),
+            ("lc_p99_2x_us", p2.lc_p99_us, 1),
+            ("rq_sheds_2x", p2.rq_sheds as f64, 0),
+            (
+                "admission_sheds_2x",
+                (p2.adm_sheds[0] + p2.adm_sheds[1]) as f64,
+                0,
+            ),
+        ],
     )
 }
 
-fn check(solo: &SloPoint, points: &[SloPoint]) -> bool {
-    let mut ok = true;
+fn shape(solo: &SloPoint, points: &[SloPoint]) -> Vec<String> {
+    let mut fails = Vec::new();
     // (1) The solo plateau is a real plateau: alone at half capacity,
     // nearly every offered LC request completes inside its SLO.
     if solo.lc_goodput_rps < 0.9 * LC_RATE {
-        eprintln!(
-            "slo_sweep: FAIL — solo LC goodput {:.0} rps below 90% of the {LC_RATE:.0} rps offered",
+        fails.push(format!(
+            "solo LC goodput {:.0} rps below 90% of the {LC_RATE:.0} rps offered",
             solo.lc_goodput_rps
-        );
-        ok = false;
+        ));
     }
     // (2) Class isolation: under 2x and 3x mixed overload the LC tenant
     // keeps at least 90% of its solo plateau.
     for (name, p) in [("2x", &points[TWO_X]), ("3x", &points[THREE_X])] {
         if p.lc_goodput_rps < 0.90 * solo.lc_goodput_rps {
-            eprintln!(
-                "slo_sweep: FAIL — LC goodput at {name} {:.0} rps below 90% of solo {:.0} rps",
+            fails.push(format!(
+                "LC goodput at {name} {:.0} rps below 90% of solo {:.0} rps",
                 p.lc_goodput_rps, solo.lc_goodput_rps
-            );
-            ok = false;
+            ));
         }
         // (3) The overload is paid by the batch class: batch requests are
         // shed (at admission or by the scheduler-side AQM backstop),
         // never the LC class, and batch's loss fraction dominates LC's.
         if p.adm_sheds[1] + p.rq_sheds == 0 {
-            eprintln!("slo_sweep: FAIL — no batch request shed at {name}");
-            ok = false;
+            fails.push(format!("no batch request shed at {name}"));
         }
         if p.lc_rq_sheds != 0 {
-            eprintln!(
-                "slo_sweep: FAIL — {} LC requests scheduler-shed at {name}; LC is never sheddable",
+            fails.push(format!(
+                "{} LC requests scheduler-shed at {name}; LC is never sheddable",
                 p.lc_rq_sheds
-            );
-            ok = false;
+            ));
         }
         if p.batch_loss_frac <= p.lc_loss_frac {
-            eprintln!(
-                "slo_sweep: FAIL — batch not shed first at {name}: batch loss {:.3} vs lc {:.3}",
+            fails.push(format!(
+                "batch not shed first at {name}: batch loss {:.3} vs lc {:.3}",
                 p.batch_loss_frac, p.lc_loss_frac
-            );
-            ok = false;
+            ));
         }
     }
     // (4) Below saturation nothing is scheduler-shed: the class stack is
     // inert when there is no overload to degrade gracefully.
     if points[0].rq_sheds > 0 {
-        eprintln!(
-            "slo_sweep: FAIL — {} runqueue sheds at 0.5x (no overload to shed)",
+        fails.push(format!(
+            "{} runqueue sheds at 0.5x (no overload to shed)",
             points[0].rq_sheds
-        );
-        ok = false;
+        ));
     }
-    // (5) Regression bound vs the stored LC goodput, if present.
-    if let Ok(json) = std::fs::read_to_string(net_baseline_path()) {
-        if let Some(base) = extract(&json, "slo_sweep", "lc_goodput_2x_rps") {
-            let got = points[TWO_X].lc_goodput_rps;
-            if got < base * 0.9 {
-                eprintln!(
-                    "slo_sweep: REGRESSION — LC goodput at 2x {got:.0} rps vs baseline {base:.0} rps"
-                );
-                ok = false;
-            } else {
-                eprintln!(
-                    "slo_sweep: LC goodput at 2x {got:.0} rps vs baseline {base:.0} rps — ok"
-                );
-            }
-        }
-    } else {
-        eprintln!(
-            "slo_sweep: no baseline at {} — semantic checks only",
-            net_baseline_path().display()
-        );
-    }
-    ok
+    fails
 }
 
 fn main() {
-    let _ = trace_arg();
-    let args = skyloft_bench::positional_args();
-    let write = args.iter().any(|a| a == "--write");
-    let do_check = args.iter().any(|a| a == "--check");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0x510_C1A5); // "slo-clas"
+    let cli = Cli::parse(&["--check", "--write", "--smoke", "--seed"]);
+    let smoke = cli.smoke;
+    let seed = cli.seed.unwrap_or(0x510_C1A5); // "slo-clas"
 
     eprintln!("slo_sweep: measuring the LC tenant's solo plateau (seed {seed})...");
     let solo = run_point(0.5, true, seed, smoke);
@@ -365,7 +336,7 @@ fn main() {
             p.ring_drops.to_string(),
         ]);
     }
-    out::emit(
+    cli.emit(
         "slo_sweep",
         "SLO classes: per-tenant goodput vs total load, LC fixed at 0.5x capacity",
         &t,
@@ -382,14 +353,7 @@ fn main() {
         p2.lc_p99_us
     );
 
-    if write {
-        let path = net_baseline_path();
-        match upsert_section(&path, "slo_sweep", &series_json(&solo, &points, "    ")) {
-            Ok(()) => eprintln!("slo_sweep: wrote {}", path.display()),
-            Err(e) => eprintln!("slo_sweep: failed to write {}: {e}", path.display()),
-        }
-    }
-    if do_check && !check(&solo, &points) {
-        std::process::exit(1);
-    }
+    cli.finish(&BASELINE, &[section(&solo, &points)], || {
+        shape(&solo, &points)
+    });
 }

@@ -8,7 +8,7 @@
 
 use std::path::Path;
 
-use skyloft_bench::out;
+use skyloft_bench::Cli;
 use skyloft_metrics::Table;
 
 /// Counts effective lines: skips blanks, `//` comment lines, and
@@ -31,6 +31,7 @@ fn count_loc(path: &Path) -> std::io::Result<usize> {
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let policies_dir = format!("{}/../policies/src", env!("CARGO_MANIFEST_DIR"));
     let rows: Vec<(&str, &str, &str)> = vec![
         // (display name, our file, paper's LoC for its counterpart)
@@ -59,7 +60,7 @@ fn main() {
     ] {
         t.row(&[name, "-", loc]);
     }
-    out::emit("tab4_loc", "Table 4: scheduler lines of code", &t);
+    cli.emit("tab4_loc", "Table 4: scheduler lines of code", &t);
     println!(
         "Shape check: every Skyloft policy above should be in the hundreds \
          of lines, an order of magnitude below the kernel schedulers."

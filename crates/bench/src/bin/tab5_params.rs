@@ -1,7 +1,7 @@
 //! Table 5: parameters for the scheduling policies of §5.1.
 
 use skyloft::SchedParams;
-use skyloft_bench::out;
+use skyloft_bench::Cli;
 use skyloft_metrics::Table;
 use skyloft_sim::Nanos;
 
@@ -10,6 +10,7 @@ fn fmt(n: Nanos) -> String {
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut t = Table::new(&[
         "policy",
         "timer hz",
@@ -74,5 +75,5 @@ fn main() {
             slice.map(fmt).unwrap_or_else(|| "-".into()),
         ]);
     }
-    out::emit("tab5_params", "Table 5: scheduling-policy parameters", &t);
+    cli.emit("tab5_params", "Table 5: scheduling-policy parameters", &t);
 }

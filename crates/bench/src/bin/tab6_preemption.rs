@@ -8,7 +8,7 @@
 //! §3.2 timer-delegation path (SN-armed PIR, handler re-arm at 123
 //! cycles).
 
-use skyloft_bench::out;
+use skyloft_bench::Cli;
 use skyloft_hw::costs::{
     self, MechCost, KERNEL_IPI, SETITIMER_RECEIVE, SIGNAL, USER_IPI, USER_IPI_XNUMA,
     USER_TIMER_RECEIVE,
@@ -53,6 +53,7 @@ fn drive(mech: MechCost) -> (u64, u64, u64) {
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let model = CostModel::new(Topology::PAPER_SERVER);
     let mut t = Table::new(&[
         "mechanism",
@@ -99,7 +100,7 @@ fn main() {
         "-".into(),
         "-/642/-".into(),
     ]);
-    out::emit("tab6_preemption", "Table 6: preemption mechanisms", &t);
+    cli.emit("tab6_preemption", "Table 6: preemption mechanisms", &t);
 
     // §3.2 timer-delegation pipeline through the architectural model:
     // verify both the lost-interrupt pitfall and the armed path, and the

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
 use std::time::Instant;
 
-use skyloft_bench::out;
+use skyloft_bench::Cli;
 use skyloft_metrics::Table;
 use skyloft_uthread::{spawn, yield_now, Condvar, Mutex, Runtime};
 
@@ -193,6 +193,7 @@ fn pthread_condvar_ns(iters: u64) -> f64 {
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut t = Table::new(&[
         "operation",
         "pthread (ns)",
@@ -239,7 +240,7 @@ fn main() {
         format!("{c_u:.0}"),
         "2532 / 262 / 86".into(),
     ]);
-    out::emit(
+    cli.emit(
         "tab7_threadops",
         "Table 7: threading operations (host-measured)",
         &t,

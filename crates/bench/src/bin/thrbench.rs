@@ -1,5 +1,5 @@
 //! Threading-substrate benchmark: lock-free runqueues vs the mutex oracle,
-//! plus runtime-level operation costs (ISSUE 4's acceptance numbers).
+//! plus runtime-level operation costs.
 //!
 //! Both substrates always compile (`crossbeam::deque::lockfree` and
 //! `crossbeam::deque::reference`), so ONE binary measures the Chase-Lev
@@ -9,20 +9,21 @@
 //! multi-worker spawn-churn throughput) on whichever substrate the binary
 //! was built with (lock-free unless `--features reference-deque`).
 //!
-//! Results go to `results/thrbench.csv`; `--write` records them in the
-//! repo-root `BENCH_thread.json` (`pre_change` = the mutex oracle,
-//! measured live; `current` = the lock-free substrate). `--check`
-//! compares against the committed baseline and exits non-zero on a >30%
-//! throughput regression — the CI smoke gate. The ISSUE's ≥2× speedup
-//! criterion at 4+ workers is asserted only when the host actually has
-//! 4+ hardware threads (an oversubscribed single-core runner measures
-//! scheduler interleaving, not the substrate).
+//! Results go to `thrbench.csv`; `--write` records them in the repo-root
+//! `BENCH_thread.json` (`pre_change` = the mutex oracle, measured live;
+//! `current` = the lock-free substrate). `--check` fails on a >30%
+//! throughput regression against the committed baseline — the CI smoke
+//! gate. The ≥2× lock-free speedup criterion at 4+ workers is asserted
+//! only when the host actually has 4+ hardware threads (an
+//! oversubscribed single-core runner measures scheduler interleaving,
+//! not the substrate).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Instant;
 
-use skyloft_bench::out;
+use skyloft_bench::baseline::{Baseline, Gate, Section};
+use skyloft_bench::{fast_factor, Cli};
 use skyloft_metrics::Table;
 use skyloft_uthread::{spawn, yield_now, Condvar, Mutex, Runtime};
 
@@ -35,12 +36,9 @@ fn hw_threads() -> usize {
 /// Iteration counts divided by `SKYLOFT_FAST` (the throughput *rate* is
 /// what is recorded, so shorter runs measure the same quantity).
 fn scaled_iters(n: u64) -> u64 {
-    match std::env::var("SKYLOFT_FAST")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        Some(f) if f > 1 => (n / f).max(1_000),
-        _ => n,
+    match fast_factor() {
+        1 => n,
+        f => (n / f).max(1_000),
     }
 }
 
@@ -330,29 +328,17 @@ fn rt_spawn_throughput(workers: usize, total: u64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline file (BENCH_thread.json), simbench-style flat JSON.
+// Baseline (BENCH_thread.json) and the speedup gate.
 // ---------------------------------------------------------------------------
 
-fn baseline_path() -> std::path::PathBuf {
-    std::path::PathBuf::from(format!(
-        "{}/../../BENCH_thread.json",
-        env!("CARGO_MANIFEST_DIR")
-    ))
-}
-
-fn extract(json: &str, section: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{section}\""))?;
-    let rest = &json[at..];
-    let at = rest.find(&format!("\"{key}\""))?;
-    let rest = &rest[at..];
-    let colon = rest.find(':')?;
-    let num: String = rest[colon + 1..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
+const BASELINE: Baseline = Baseline {
+    file: "BENCH_thread.json",
+    gates: &[
+        Gate::at_least("current", "deque_steal_ops_per_sec", 0.7),
+        Gate::at_least("current", "injector_ops_per_sec", 0.7),
+        Gate::at_least("current", "spawn_throughput_per_sec", 0.7),
+    ],
+};
 
 struct Results {
     gate_workers: usize,
@@ -367,99 +353,56 @@ struct Results {
     spawn_tput: f64,
 }
 
-fn write_baseline(r: &Results) {
-    let path = baseline_path();
-    let json = format!(
-        "{{\n  \"schema\": 1,\n  \"bench\": \"thrbench\",\n  \"gate_workers\": {gw},\n  \
-         \"pre_change\": {{\n    \
-         \"deque_steal_ops_per_sec\": {dr:.0},\n    \
-         \"injector_ops_per_sec\": {ir:.0}\n  }},\n  \
-         \"current\": {{\n    \
-         \"deque_steal_ops_per_sec\": {dl:.0},\n    \
-         \"injector_ops_per_sec\": {il:.0},\n    \
-         \"spawn_ns\": {sn:.1},\n    \
-         \"yield_ns\": {yn:.1},\n    \
-         \"mutex_ns\": {mn:.1},\n    \
-         \"condvar_ns\": {cn:.1},\n    \
-         \"spawn_throughput_per_sec\": {st:.0}\n  }}\n}}\n",
-        gw = r.gate_workers,
-        dr = r.deque_ref,
-        ir = r.inj_ref,
-        dl = r.deque_lf,
-        il = r.inj_lf,
-        sn = r.spawn_ns,
-        yn = r.yield_ns,
-        mn = r.mutex_ns,
-        cn = r.condvar_ns,
-        st = r.spawn_tput,
-    );
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("thrbench: wrote {}", path.display()),
-        Err(e) => eprintln!("thrbench: failed to write {}: {e}", path.display()),
+impl Results {
+    fn sections(&self) -> [Section; 2] {
+        [
+            Section::new(
+                "pre_change",
+                [
+                    ("deque_steal_ops_per_sec", self.deque_ref, 0),
+                    ("injector_ops_per_sec", self.inj_ref, 0),
+                ],
+            ),
+            Section::new(
+                "current",
+                [
+                    ("deque_steal_ops_per_sec", self.deque_lf, 0),
+                    ("injector_ops_per_sec", self.inj_lf, 0),
+                    ("spawn_ns", self.spawn_ns, 1),
+                    ("yield_ns", self.yield_ns, 1),
+                    ("mutex_ns", self.mutex_ns, 1),
+                    ("condvar_ns", self.condvar_ns, 1),
+                    ("spawn_throughput_per_sec", self.spawn_tput, 0),
+                ],
+            ),
+        ]
     }
-}
 
-fn check_baseline(r: &Results) -> bool {
-    let mut ok = true;
-
-    // The ISSUE's speedup criterion: lock-free ≥2× the mutex oracle on
-    // spawn+steal at 4+ workers. Only meaningful with real parallelism.
-    let ratio = r.deque_lf / r.deque_ref.max(1.0);
-    if hw_threads() >= 4 {
+    /// The speedup criterion: lock-free ≥2× the mutex oracle on
+    /// spawn+steal at 4+ workers. Only meaningful with real parallelism.
+    fn shape(&self) -> Vec<String> {
+        let ratio = self.deque_lf / self.deque_ref.max(1.0);
+        let gw = self.gate_workers;
+        if hw_threads() < 4 {
+            eprintln!(
+                "thrbench: host has {} hardware thread(s); speedup gate skipped \
+                 (measured {ratio:.2}x at {gw} oversubscribed workers)",
+                hw_threads()
+            );
+            return Vec::new();
+        }
         if ratio < 2.0 {
-            eprintln!(
-                "thrbench: FAIL: lock-free deque speedup {ratio:.2}x < 2x at {} workers",
-                r.gate_workers
-            );
-            ok = false;
-        } else {
-            eprintln!(
-                "thrbench: lock-free deque speedup {ratio:.2}x at {} workers — ok",
-                r.gate_workers
-            );
+            return vec![format!(
+                "lock-free deque speedup {ratio:.2}x < 2x at {gw} workers"
+            )];
         }
-    } else {
-        eprintln!(
-            "thrbench: host has {} hardware thread(s); speedup gate skipped \
-             (measured {ratio:.2}x at {} oversubscribed workers)",
-            hw_threads(),
-            r.gate_workers
-        );
+        eprintln!("thrbench: lock-free deque speedup {ratio:.2}x at {gw} workers — ok");
+        Vec::new()
     }
-
-    let path = baseline_path();
-    let Ok(json) = std::fs::read_to_string(&path) else {
-        eprintln!(
-            "thrbench: no baseline at {} — nothing to check against",
-            path.display()
-        );
-        return ok;
-    };
-    for (key, measured) in [
-        ("deque_steal_ops_per_sec", r.deque_lf),
-        ("injector_ops_per_sec", r.inj_lf),
-        ("spawn_throughput_per_sec", r.spawn_tput),
-    ] {
-        let Some(base) = extract(&json, "current", key) else {
-            continue;
-        };
-        let floor = base * 0.7;
-        if measured < floor {
-            eprintln!(
-                "thrbench: REGRESSION on {key}: measured {measured:.0} < 70% of baseline {base:.0}"
-            );
-            ok = false;
-        } else {
-            eprintln!("thrbench: {key} {measured:.0} vs baseline {base:.0} — ok");
-        }
-    }
-    ok
 }
 
 fn main() {
-    let args = skyloft_bench::positional_args();
-    let write = args.iter().any(|a| a == "--write");
-    let check = args.iter().any(|a| a == "--check");
+    let cli = Cli::parse(&["--check", "--write"]);
 
     let deque_items = scaled_iters(400_000);
     let inj_items = scaled_iters(400_000);
@@ -551,12 +494,12 @@ fn main() {
         format!("{:.0}", results.spawn_tput),
     ]);
 
-    out::emit(
+    cli.emit(
         "thrbench",
         "Threading substrate: lock-free vs mutex oracle",
         &t,
     );
-    out::emit("thrbench_runtime", "Runtime operation costs", &rt);
+    cli.emit("thrbench_runtime", "Runtime operation costs", &rt);
     println!(
         "deque@{gw}w: {:.0} -> {:.0} ops/s ({:.2}x)  injector@{gw}w: {:.0} -> {:.0} ops/s ({:.2}x)",
         results.deque_ref,
@@ -568,10 +511,5 @@ fn main() {
         gw = gate_workers,
     );
 
-    if write {
-        write_baseline(&results);
-    }
-    if check && !check_baseline(&results) {
-        std::process::exit(1);
-    }
+    cli.finish(&BASELINE, &results.sections(), || results.shape());
 }

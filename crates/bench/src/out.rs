@@ -1,31 +1,7 @@
-//! Output helpers: print a table and persist its CSV under `results/`.
-
-use std::fs;
-use std::path::PathBuf;
+//! Table shaping shared by the figure binaries (the driver writes them:
+//! [`crate::Cli::emit`]).
 
 use skyloft_metrics::{Series, Table};
-
-/// Directory where experiment CSVs are written.
-pub fn results_dir() -> PathBuf {
-    let root = std::env::var("SKYLOFT_RESULTS_DIR")
-        .unwrap_or_else(|_| format!("{}/../../results", env!("CARGO_MANIFEST_DIR")));
-    PathBuf::from(root)
-}
-
-/// Prints the table under a heading and writes `results/<id>.csv`.
-pub fn emit(id: &str, heading: &str, table: &Table) {
-    println!("== {heading} ==");
-    println!("{}", table.render());
-    let dir = results_dir();
-    if fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{id}.csv"));
-        if let Err(e) = fs::write(&path, table.to_csv()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("(csv: {})\n", path.display());
-        }
-    }
-}
 
 /// Renders a latency-vs-load figure as a table: one row per offered rate,
 /// one column per series.

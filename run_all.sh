@@ -1,23 +1,25 @@
 #!/bin/sh
-# Runs every experiment binary at full measurement windows, logging output.
-set -x
-for b in tab4_loc tab5_params tab6_preemption sec54_switch tab7_threadops \
-         fig5_schbench fig6_timeslice fig7a_single fig7b_multi \
-         fig8a_memcached fig8b_rocksdb ablate_dispatcher ablate_quantum \
-         slo_sweep; do
-  echo "### $b"
-  ./target/release/$b 2>/dev/null
-  echo "### $b exit=$?"
-done
-
-# Golden byte-identity gate: the simulation is deterministic, so the
-# figure CSVs a run just produced must match the committed goldens byte
-# for byte. Any drift means a change altered scheduling decisions (the
-# batched event/policy/NIC paths are required to be decision-identical
-# to their serial forms) — fail loudly instead of silently shipping new
-# numbers.
+# Regenerates every deterministic result with a canonical run (full
+# windows, default seeds) and gates it against its committed golden.
+#
+# results/goldens.txt is the one table of what is gated. The simulation
+# is deterministic, so a gated CSV must come back byte for byte; any
+# drift means a change altered scheduling decisions, and this script
+# fails loudly instead of silently shipping new numbers. Host-timed CSVs
+# are listed there too but not run here: refresh one by running its
+# binary on its own.
+cd "$(dirname "$0")" || exit 1
+cargo build --release -q -p skyloft-bench --bins || exit 1
+table=results/goldens.txt
 status=0
-for f in fig5_schbench fig6_timeslice fig7a_single fig7a_tput slo_sweep; do
+for b in $(awk '!/^#/ && $3 == "gated" && !seen[$2]++ { print $2 }' "$table"); do
+  echo "### $b"
+  if ! ./target/release/"$b"; then
+    echo "### $b: FAILED"
+    status=1
+  fi
+done
+for f in $(awk '!/^#/ && $3 == "gated" { print $1 }' "$table"); do
   if git diff --quiet -- "results/$f.csv"; then
     echo "### golden $f.csv: identical"
   else
