@@ -1835,9 +1835,11 @@ impl Machine {
     /// Runs at dispatch rate on the hot path, so the idle list and the
     /// placement list live in machine-owned scratch buffers instead of
     /// fresh allocations, and the idle-worker set comes from the
-    /// incrementally maintained bitmask instead of a `worker_cores` scan
-    /// (only `core_usable`, which depends on the current time under
-    /// injected stalls, is checked per set bit).
+    /// incrementally maintained bitmask instead of a `worker_cores` scan.
+    /// Only `core_usable`, the §6 check that skips a core whose kernel
+    /// thread is fault-blocked, is asked per set bit; the kernel module
+    /// answers it from a per-core count, so it is O(1) while no fault is
+    /// outstanding on that core.
     fn dispatch_pass(&mut self, q: &mut EventQueue<Event>) {
         let mut idle = std::mem::take(&mut self.idle_scratch);
         idle.clear();

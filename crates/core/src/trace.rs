@@ -558,8 +558,9 @@ fn push_instant(out: &mut String, first: &mut bool, tid: usize, ev: &TraceEvent)
 /// The checks, in order:
 ///
 /// 1. **Single Binding Rule (§3.3)** — at most one active kernel thread per
-///    isolated core, with the kernel module's cache agreeing with its
-///    thread table ([`skyloft_kmod::Kmod::check_binding_rule`]).
+///    isolated core, with the kernel module's per-core caches (active
+///    thread, fault-blocked count) agreeing with its thread table
+///    ([`skyloft_kmod::Kmod::check_binding_rule`]).
 /// 2. **Segment token** — a core has a pending `SegmentDone` exactly when a
 ///    task is current, and its scheduled completion is not in the past.
 /// 3. **Busy accounting** — a core's open busy interval exists exactly when

@@ -25,9 +25,8 @@ impl Kmod {
             return Err(KmodError::InvalidState);
         }
         let core = t.core.ok_or(KmodError::InvalidState)?;
-        self.set_state(tid, KthreadState::FaultBlocked);
-        self.vacate(core, tid);
-        self.debug_rule();
+        self.set_state(tid, Some(core), KthreadState::FaultBlocked);
+        self.debug_check_rule();
         Ok(())
     }
 
@@ -39,8 +38,8 @@ impl Kmod {
         if t.state != KthreadState::FaultBlocked {
             return Err(KmodError::InvalidState);
         }
-        self.set_state(tid, KthreadState::Inactive);
-        self.debug_rule();
+        self.set_state(tid, t.core, KthreadState::Inactive);
+        self.debug_check_rule();
         Ok(())
     }
 }
@@ -168,5 +167,24 @@ mod tests {
         assert_eq!(k.fault_block(a), Err(KmodError::InvalidState)); // double
                                                                     // A fault-blocked thread cannot be woken before resolution.
         assert_eq!(k.wakeup(a), Err(KmodError::InvalidState));
+    }
+
+    #[test]
+    fn only_resolution_leaves_fault_blocked() {
+        // Re-binding or parking a fault-blocked thread would clear its
+        // fault behind the monitor's back.
+        let (mut k, a, _) = setup();
+        let mut mon = FaultMonitor::new();
+        mon.on_fault(&mut k, a).unwrap();
+        assert_eq!(k.bind_active(a, 1), Err(KmodError::InvalidState));
+        assert_eq!(k.park_on_cpu(a, 0), Err(KmodError::InvalidState));
+        assert_eq!(k.park_on_cpu(a, 1), Err(KmodError::InvalidState));
+        assert_eq!(k.kthread(a).unwrap().state, KthreadState::FaultBlocked);
+        assert_eq!(k.fault_blocked_on(0), Some(a));
+        assert!(mon.is_outstanding(a));
+        mon.on_resolved(&mut k, a).unwrap();
+        assert_eq!(k.fault_blocked_on(0), None);
+        k.park_on_cpu(a, 1).unwrap();
+        k.check_binding_rule().unwrap();
     }
 }

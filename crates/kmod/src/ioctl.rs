@@ -32,6 +32,9 @@ pub struct Kmod {
     /// Cached active thread per core (`None` for cores with no active
     /// Skyloft thread).
     active_on: Vec<Option<Tid>>,
+    /// Per-core count of `FaultBlocked` threads bound to the core, so
+    /// [`Kmod::fault_blocked_on`] answers "none" without a table scan.
+    fault_blocked: Vec<u32>,
     /// Operation counters.
     pub stats: KmodStats,
 }
@@ -60,6 +63,7 @@ impl Kmod {
             threads: Vec::new(),
             isolated,
             active_on: vec![None; n_cores],
+            fault_blocked: vec![0; n_cores],
             stats: KmodStats::default(),
         }
     }
@@ -109,23 +113,9 @@ impl Kmod {
                 return Err(KmodError::BindingRuleViolation { core });
             }
         }
-        let prev = {
-            let t = self.threads.get(tid).ok_or(KmodError::NoSuchThread)?;
-            if t.state == KthreadState::Exited {
-                return Err(KmodError::InvalidState);
-            }
-            t.core
-        };
+        self.check_rebindable(tid)?;
         // Re-binding an active thread vacates its previous core.
-        if let Some(prev) = prev {
-            if prev != core && self.active_on[prev] == Some(tid) {
-                self.active_on[prev] = None;
-            }
-        }
-        let t = &mut self.threads[tid];
-        t.core = Some(core);
-        t.state = KthreadState::Active;
-        self.active_on[core] = Some(tid);
+        self.set_state(tid, Some(core), KthreadState::Active);
         self.debug_check_rule();
         Ok(())
     }
@@ -136,18 +126,9 @@ impl Kmod {
     /// the incumbent (§3.3).
     pub fn park_on_cpu(&mut self, tid: Tid, core: CoreId) -> Result<()> {
         self.check_core(core)?;
-        let t = self.threads.get_mut(tid).ok_or(KmodError::NoSuchThread)?;
-        if t.state == KthreadState::Exited {
-            return Err(KmodError::InvalidState);
-        }
+        self.check_rebindable(tid)?;
         // If the thread was the active occupant somewhere, vacate that core.
-        if let Some(prev) = t.core {
-            if self.active_on[prev] == Some(tid) {
-                self.active_on[prev] = None;
-            }
-        }
-        t.core = Some(core);
-        t.state = KthreadState::Inactive;
+        self.set_state(tid, Some(core), KthreadState::Inactive);
         self.stats.parks += 1;
         self.debug_check_rule();
         Ok(())
@@ -173,9 +154,8 @@ impl Kmod {
                 return Err(KmodError::InvalidState);
             }
         }
-        self.threads[cur].state = KthreadState::Inactive;
-        self.threads[target].state = KthreadState::Active;
-        self.active_on[core] = Some(target);
+        self.set_state(cur, Some(core), KthreadState::Inactive);
+        self.set_state(target, Some(core), KthreadState::Active);
         self.stats.switches += 1;
         self.debug_check_rule();
         Ok(SWITCH_TO_KERNEL_NS)
@@ -193,8 +173,7 @@ impl Kmod {
         if self.active_on[core].is_some() {
             return Err(KmodError::BindingRuleViolation { core });
         }
-        self.threads[tid].state = KthreadState::Active;
-        self.active_on[core] = Some(tid);
+        self.set_state(tid, Some(core), KthreadState::Active);
         self.stats.wakeups += 1;
         self.debug_check_rule();
         Ok(WAKEUP_KERNEL_NS)
@@ -209,13 +188,7 @@ impl Kmod {
             if self.threads[tid].app != app || self.threads[tid].state == KthreadState::Exited {
                 continue;
             }
-            if let Some(core) = self.threads[tid].core {
-                if self.active_on[core] == Some(tid) {
-                    self.active_on[core] = None;
-                }
-            }
-            self.threads[tid].core = None;
-            self.threads[tid].state = KthreadState::Exited;
+            self.set_state(tid, None, KthreadState::Exited);
         }
         self.debug_check_rule();
         Ok(())
@@ -238,14 +211,27 @@ impl Kmod {
         Ok(())
     }
 
-    /// Verifies the Single Binding Rule over the whole table. Tests call
-    /// this directly; mutating operations run it in debug builds.
+    /// Verifies the Single Binding Rule over the whole table, and that the
+    /// per-core caches (active thread, fault-blocked count) agree with it.
+    /// Tests call this directly; mutating operations run it in debug
+    /// builds. One pass over the table, then one over the cores.
     pub fn check_binding_rule(&self) -> Result<()> {
-        for core in 0..self.active_on.len() {
+        // Per core: (active threads, fault-blocked threads).
+        let mut counts = vec![(0u32, 0u32); self.active_on.len()];
+        for t in &self.threads {
+            match (t.core, t.state) {
+                (Some(c), KthreadState::Active) => counts[c].0 += 1,
+                (Some(c), KthreadState::FaultBlocked) => counts[c].1 += 1,
+                _ => {}
+            }
+        }
+        for (core, &(actives, blocked)) in counts.iter().enumerate() {
+            if blocked != self.fault_blocked[core] {
+                return Err(KmodError::InvalidState);
+            }
             if !self.isolated[core] {
                 continue;
             }
-            let actives = self.threads.iter().filter(|t| t.is_active_on(core)).count();
             if actives > 1 {
                 return Err(KmodError::BindingRuleViolation { core });
             }
@@ -273,40 +259,68 @@ impl Kmod {
         Ok(())
     }
 
-    fn debug_check_rule(&self) {
+    pub(crate) fn debug_check_rule(&self) {
         debug_assert_eq!(self.check_binding_rule(), Ok(()));
     }
 
-    /// Crate-internal state transition (fault handling lives in
-    /// `crate::fault`).
-    pub(crate) fn set_state(&mut self, tid: Tid, state: KthreadState) {
-        self.threads[tid].state = state;
-    }
-
-    /// Clears the active-thread cache of `core` if `tid` occupies it.
-    pub(crate) fn vacate(&mut self, core: CoreId, tid: Tid) {
-        if self.active_on[core] == Some(tid) {
-            self.active_on[core] = None;
+    /// Rejects re-binding `tid` (`bind_active`, `park_on_cpu`) unless it
+    /// is active or parked: an exited thread is gone, and only
+    /// `fault_resolve` may take a thread out of `FaultBlocked`.
+    fn check_rebindable(&self, tid: Tid) -> Result<()> {
+        match self.kthread(tid)?.state {
+            KthreadState::Active | KthreadState::Inactive => Ok(()),
+            KthreadState::FaultBlocked | KthreadState::Exited => Err(KmodError::InvalidState),
         }
     }
 
-    /// A parked (inactive) thread bound to `core`, if any.
+    /// The one place a thread's `core` and `state` change. Keeps both
+    /// per-core caches in step: leaving `Active` vacates the core's active
+    /// slot and entering it claims the slot; leaving or entering
+    /// `FaultBlocked` moves the core's fault-blocked count. Callers check
+    /// the operation's preconditions (the Single Binding Rule included)
+    /// first.
+    pub(crate) fn set_state(&mut self, tid: Tid, core: Option<CoreId>, state: KthreadState) {
+        let old = &self.threads[tid];
+        if let Some(c) = old.core {
+            match old.state {
+                KthreadState::Active => self.active_on[c] = None,
+                KthreadState::FaultBlocked => self.fault_blocked[c] -= 1,
+                _ => {}
+            }
+        }
+        if let Some(c) = core {
+            match state {
+                KthreadState::Active => self.active_on[c] = Some(tid),
+                KthreadState::FaultBlocked => self.fault_blocked[c] += 1,
+                _ => {}
+            }
+        }
+        let t = &mut self.threads[tid];
+        t.core = core;
+        t.state = state;
+    }
+
+    /// A parked (inactive) thread bound to `core`, if any. Only the fault
+    /// path asks, so this stays a table scan.
     pub fn parked_thread_on(&self, core: CoreId) -> Option<Tid> {
         self.threads
             .iter()
             .position(|t| t.state == KthreadState::Inactive && t.core == Some(core))
     }
 
-    /// A fault-blocked thread bound to `core`, if any (§6). Dispatch paths
-    /// use this to keep work off cores with an unresolved blocking event.
+    /// The lowest-tid fault-blocked thread bound to `core`, if any (§6).
+    /// The centralized dispatcher asks this for every idle worker on every
+    /// poll, so a zero per-core count answers "none" without touching the
+    /// thread table; only a core with a fault outstanding is scanned.
+    #[inline]
     pub fn fault_blocked_on(&self, core: CoreId) -> Option<Tid> {
-        self.threads
-            .iter()
-            .position(|t| t.state == KthreadState::FaultBlocked && t.core == Some(core))
-    }
-
-    pub(crate) fn debug_rule(&self) {
-        self.debug_check_rule();
+        match self.fault_blocked.get(core) {
+            Some(&n) if n > 0 => self
+                .threads
+                .iter()
+                .position(|t| t.state == KthreadState::FaultBlocked && t.core == Some(core)),
+            _ => None,
+        }
     }
 }
 
@@ -449,5 +463,19 @@ mod tests {
         assert_eq!(k.isolated_cores(), vec![2, 3, 4, 5]);
         assert!(k.is_isolated(2));
         assert!(!k.is_isolated(0));
+    }
+
+    #[test]
+    fn check_fails_when_fault_count_disagrees_with_table() {
+        let mut k = setup();
+        let t = k.create_kthread(0);
+        k.bind_active(t, 2).unwrap();
+        k.fault_block(t).unwrap();
+        k.check_binding_rule().unwrap();
+        k.fault_blocked[2] = 0;
+        assert_eq!(k.check_binding_rule(), Err(KmodError::InvalidState));
+        k.fault_blocked[2] = 1;
+        k.fault_blocked[3] = 1;
+        assert_eq!(k.check_binding_rule(), Err(KmodError::InvalidState));
     }
 }

@@ -8,7 +8,7 @@ use skyloft::ops::{EnqueueFlags, Policy, SchedEnv};
 use skyloft::task::{Task, TaskTable};
 use skyloft_hw::uintr::UittEntry;
 use skyloft_hw::UintrFabric;
-use skyloft_kmod::Kmod;
+use skyloft_kmod::{Kmod, KthreadState, Tid};
 use skyloft_metrics::Histogram;
 use skyloft_policies::{Cfs, Eevdf, WorkStealing};
 use skyloft_sim::{Distribution, EventQueue, Nanos, Rng};
@@ -148,24 +148,41 @@ proptest! {
     }
 
     /// The kernel-module model never violates the Single Binding Rule, no
-    /// matter the op sequence (invalid ops must error, not corrupt).
+    /// matter the op sequence (invalid ops must error, not corrupt), and
+    /// the answers it serves from per-core caches (`fault_blocked_on`,
+    /// gated by a fault-blocked count, and `active_thread`) equal a plain
+    /// scan of the thread table, the oracle. Ops cover every transition,
+    /// §6 faults and app termination included; `check_binding_rule`
+    /// recounts both caches against the table after every one.
     #[test]
-    fn kmod_binding_rule_is_invariant(ops in prop::collection::vec((0u8..4, 0usize..6, 0usize..4), 1..200)) {
+    fn kmod_binding_rule_is_invariant(
+        ops in prop::collection::vec((0u8..9, 0usize..12, 0usize..12, 0usize..10), 1..300),
+    ) {
         let mut k = Kmod::new(8, &[0, 1, 2, 3]);
-        let tids: Vec<_> = (0..6).map(|i| k.create_kthread(i % 3)).collect();
-        for (op, t, core) in ops {
-            let tid = tids[t];
-            // Outcomes don't matter; the invariant must hold after every op.
+        let mut tids: Vec<Tid> = Vec::new();
+        for (op, a, b, core) in ops {
+            let pick = |i: usize| if tids.is_empty() { i } else { tids[i % tids.len()] };
+            let (x, y) = (pick(a), pick(b));
+            // Outcomes don't matter; the invariants must hold after every op.
             let _ = match op {
-                0 => k.bind_active(tid, core).map(|_| Nanos::ZERO),
-                1 => k.park_on_cpu(tid, core).map(|_| Nanos::ZERO),
-                2 => k.wakeup(tid),
-                _ => {
-                    let other = tids[(t + 1) % tids.len()];
-                    k.switch_to(tid, other)
+                0 | 1 => {
+                    tids.push(k.create_kthread(a % 3));
+                    Ok(())
                 }
+                2 => k.bind_active(x, core),
+                3 => k.park_on_cpu(x, core),
+                4 => k.switch_to(x, y).map(drop),
+                5 => k.wakeup(x).map(drop),
+                6 => k.fault_block(x),
+                7 => k.fault_resolve(x),
+                _ => k.terminate_app(a % 3),
             };
-            prop_assert!(k.check_binding_rule().is_ok());
+            prop_assert_eq!(k.check_binding_rule(), Ok(()));
+            for c in 0..10 {
+                let blocked = reference_scan(&k, c, KthreadState::FaultBlocked);
+                prop_assert_eq!(k.fault_blocked_on(c), blocked);
+                prop_assert_eq!(k.active_thread(c), reference_scan(&k, c, KthreadState::Active));
+            }
         }
     }
 
@@ -301,4 +318,13 @@ proptest! {
         prop_assert!(m.tracer.checker.checks_run() > 0);
         prop_assert!(m.tracer.checker.violations().is_empty());
     }
+}
+
+/// The lowest-tid thread bound to `core` in `state`, by a plain scan of
+/// the kernel-thread table through the public API.
+fn reference_scan(k: &Kmod, core: usize, state: KthreadState) -> Option<Tid> {
+    (0..)
+        .map_while(|tid| k.kthread(tid).ok().map(|t| (tid, t)))
+        .find(|(_, t)| t.state == state && t.core == Some(core))
+        .map(|(tid, _)| tid)
 }
