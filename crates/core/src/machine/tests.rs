@@ -753,3 +753,110 @@ fn batched_run_is_decision_identical_to_serial_handling() {
     assert_eq!(batched_q.now(), serial_q.now());
     assert_eq!(batched_q.len(), serial_q.len());
 }
+
+/// Requests queued behind one worker that a 10 ms unclassed request
+/// holds: unclassed (app 0), LC (app 1, 200 µs SLO) and, with `batch`,
+/// batch (app 2, 5 ms SLO) requests arrive at 5, 10, 15 and 20 µs. A
+/// second batch request ties the first one at 10 µs. Returns the machine
+/// and the queued `[unclassed, lc, batch]` task ids, oldest first.
+fn queued_mix(
+    rq_aqm: Option<crate::conf::RunqueueAqmConfig>,
+    batch: bool,
+) -> (Machine, EventQueue<Event>, [Vec<TaskId>; 3]) {
+    use crate::conf::SloClass;
+    let cfg = MachineConfig {
+        plat: Platform::skyloft_percpu(Topology::single(2), 100_000),
+        n_workers: 1,
+        seed: 42,
+        core_alloc: None,
+        utimer_period: None,
+    };
+    let mut m = Machine::new(cfg, Box::new(GlobalFifo::new()));
+    m.add_app("unclassed", AppKind::Lc);
+    m.add_app("lc", AppKind::Lc);
+    m.add_app("batch", AppKind::Lc);
+    m.set_slo_class(1, SloClass::latency_critical(Nanos::from_us(200)));
+    m.set_slo_class(2, SloClass::batch(Nanos::from_ms(5)));
+    if let Some(cfg) = rq_aqm {
+        m.set_runqueue_aqm(cfg);
+    }
+    let mut q = EventQueue::new();
+    m.start(&mut q);
+    m.spawn_request(&mut q, 0, Nanos::from_ms(10), 0, None);
+    let mut ids: [Vec<TaskId>; 3] = Default::default();
+    for k in 1..=4u64 {
+        m.run(&mut q, Nanos::from_us(5 * k));
+        let apps: &[usize] = match (batch, k) {
+            (false, _) => &[0, 1],
+            (true, 2) => &[0, 2, 1, 2],
+            (true, _) => &[0, 2, 1],
+        };
+        for &app in apps {
+            ids[app].push(m.spawn_request(&mut q, app, Nanos::from_us(5), 0, None));
+        }
+    }
+    (m, q, ids)
+}
+
+/// The queued tasks of `ids` the overload stack has condemned.
+fn condemned(m: &Machine, ids: &[TaskId]) -> Vec<TaskId> {
+    ids.iter()
+        .copied()
+        .filter(|&t| m.tasks.get(t).shed)
+        .collect()
+}
+
+#[test]
+fn shed_for_class_condemns_the_oldest_looser_task() {
+    let lc_slo = Nanos::from_us(200);
+    let (mut m, _q, [unclassed, lc, batch]) = queued_mix(None, true);
+    assert!(m.shed_for_class(lc_slo));
+    assert_eq!(condemned(&m, &batch), batch[..1]);
+    // The next call skips the condemned task: its same-instant twin,
+    // spawned after it, is next.
+    assert!(m.shed_for_class(lc_slo));
+    assert_eq!(condemned(&m, &batch), batch[..2]);
+    // Nothing is looser than batch, and LC and unclassed work is never a
+    // displacement victim.
+    assert!(!m.shed_for_class(Nanos::from_ms(5)));
+    assert!(condemned(&m, &lc).is_empty());
+    assert!(condemned(&m, &unclassed).is_empty());
+}
+
+#[test]
+fn shed_for_class_finds_no_victim_without_looser_work() {
+    let (mut m, _q, [unclassed, lc, _]) = queued_mix(None, false);
+    // Only LC (not looser than itself) and unclassed work is queued.
+    assert!(!m.shed_for_class(Nanos::from_us(200)));
+    assert!(condemned(&m, &lc).is_empty());
+    assert!(condemned(&m, &unclassed).is_empty());
+}
+
+#[test]
+fn rq_aqm_condemns_batch_oldest_first_under_congestion() {
+    let cfg = crate::conf::RunqueueAqmConfig {
+        interval: Nanos::from_us(100),
+        ..Default::default()
+    };
+    let (mut m, mut q, [unclassed, lc, batch]) = queued_mix(Some(cfg), true);
+    // The worker stays held, so LC and unclassed sojourn grow past their
+    // targets and their controllers keep firing. Every drop takes the
+    // oldest batch task still queued; at every tick the condemned set is
+    // a prefix of the batch tasks in age order.
+    let mut seen = 0;
+    for tick in 1..=300u64 {
+        m.run(&mut q, Nanos::from_us(20 + 10 * tick));
+        let shed = condemned(&m, &batch);
+        assert_eq!(shed, batch[..shed.len()], "tick {tick}");
+        assert!(shed.len() >= seen);
+        seen = shed.len();
+        assert!(condemned(&m, &lc).is_empty(), "LC shed at tick {tick}");
+        assert!(condemned(&m, &unclassed).is_empty());
+    }
+    assert_eq!(
+        seen,
+        batch.len(),
+        "sustained congestion sheds every batch task"
+    );
+    assert_eq!(m.stats.rq_sheds, 0, "condemned tasks are reaped at dequeue");
+}
