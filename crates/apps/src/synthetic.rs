@@ -33,9 +33,7 @@ use skyloft::stats::class_slot;
 use skyloft::task::RequestMeta;
 use skyloft::SpawnOpts;
 use skyloft_net::dataplane::{MultiQueueNic, NicConfig};
-use skyloft_net::loadgen::{
-    Backoff, ClassRetryBudgets, NetProfile, OpenLoop, RetryBudget, RetryPolicy,
-};
+use skyloft_net::loadgen::{Backoff, ClassRetryBudgets, NetProfile, OpenLoop, RetryPolicy};
 use skyloft_net::nic::{stack_overhead, wire_draw, PacketFate, WIRE_LATENCY};
 use skyloft_net::overload::{AdmissionConfig, AdmissionCtl, CodelConfig, MAX_CLASSES};
 use skyloft_net::rss::{RssHasher, INDIRECTION_ENTRIES};
@@ -135,19 +133,12 @@ pub enum Placement {
 
 /// Installs an open-loop arrival process into the machine: each generated
 /// request spawns a one-shot task of its service time for application
-/// `app`; generation stops at `until` (virtual time).
-pub fn install_open_loop(
-    q: &mut EventQueue<Event>,
-    gen: OpenLoop,
-    app: usize,
-    placement: Placement,
-    until: Nanos,
-) {
-    install_open_loop_net(q, gen, app, placement, until, None);
-}
-
-/// [`install_open_loop`] with an optional lossy network: each request
-/// datagram draws a fate from the profile's [`skyloft_net::LossModel`].
+/// `app`; generation stops at `until` (virtual time). [`Placement::Rss`]
+/// routes the load through [`install_tenants`] as one unclassed tenant
+/// with no overload control armed.
+///
+/// `net` adds an optional lossy network: each request datagram draws a
+/// fate from the profile's [`skyloft_net::LossModel`].
 /// Dropped requests never reach the server; the client times out and the
 /// request is *recorded at the timeout value* in the latency histograms
 /// (`stats.timeouts`, `stats.net_dropped`) — excluding it would understate
@@ -164,9 +155,18 @@ pub fn install_open_loop_net(
     net: Option<NetProfile>,
 ) {
     match placement {
-        Placement::Rss { n } => {
-            install_open_loop_nic(q, gen, app, NicConfig::for_workers(n), until, net)
-        }
+        Placement::Rss { n } => install_tenants(
+            q,
+            vec![Tenant {
+                gen,
+                app,
+                class: None,
+            }],
+            NicConfig::for_workers(n),
+            until,
+            net,
+            OverloadControl::default(),
+        ),
         Placement::Queue => schedule_next_direct(q, gen, app, None, until, net),
         Placement::RssDirect { n } => {
             schedule_next_direct(q, gen, app, Some(RssHasher::new(n)), until, net)
@@ -331,9 +331,9 @@ struct Pkt {
 }
 
 /// End-to-end overload-control configuration for the NIC path: which of
-/// the three defence layers are armed. The default arms none, leaving
-/// the pure tail-drop pipeline exactly as it was before this module
-/// learned to shed load.
+/// its defence layers are armed (CoDel, admission and retries, with
+/// retry budgets optionally provisioned per class). The default arms
+/// none, leaving the pure tail-drop pipeline.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OverloadControl {
     /// CoDel drop law, one independent controller per RX ring.
@@ -343,10 +343,10 @@ pub struct OverloadControl {
     /// at poll time instead of burning a worker.
     pub admission: Option<AdmissionConfig>,
     /// Client-side retries: per-attempt timeout, decorrelated-jitter
-    /// backoff, and a global retry budget.
+    /// backoff, and one retry budget every class draws from.
     pub retry: Option<RetryPolicy>,
-    /// Per-class retry provisioning: `Some(fracs)` replaces the single
-    /// global retry bucket with one token bucket per SLO class, class
+    /// Per-class retry provisioning: `Some(fracs)` replaces the shared
+    /// retry bucket with one token bucket per SLO class, class
     /// `c` filling at `fracs[c]` permille of its *own* offered load
     /// (`None` entries inherit the policy-wide `budget_permille`). This
     /// is how an `SloClass::retry_frac` reaches the client: a batch
@@ -357,7 +357,8 @@ pub struct OverloadControl {
 }
 
 impl OverloadControl {
-    /// All three layers at their default settings.
+    /// CoDel, admission and retries at their default settings, with one
+    /// shared retry budget.
     pub fn full() -> Self {
         OverloadControl {
             codel: Some(CodelConfig::default()),
@@ -371,30 +372,9 @@ impl OverloadControl {
 /// The retrying client's mutable state.
 struct RetryState {
     policy: RetryPolicy,
-    /// The single global bucket (used when `class_budget` is unarmed).
-    budget: RetryBudget,
-    /// Per-class buckets, when [`OverloadControl::retry_frac`] armed
-    /// them; exactly one of the two bucket fields is live at a time.
-    class_budget: Option<ClassRetryBudgets>,
+    /// Shared, or per class when [`OverloadControl::retry_frac`] is set.
+    budget: ClassRetryBudgets,
     backoff: Backoff,
-}
-
-impl RetryState {
-    /// Accrues budget for one offered request of `class`.
-    fn on_request(&mut self, class: u8) {
-        match self.class_budget.as_mut() {
-            Some(cb) => cb.on_request(class),
-            None => self.budget.on_request(),
-        }
-    }
-
-    /// Attempts to spend one retry token for `class`.
-    fn try_spend(&mut self, class: u8) -> bool {
-        match self.class_budget.as_mut() {
-            Some(cb) => cb.try_spend(class),
-            None => self.budget.try_spend(),
-        }
-    }
 }
 
 /// Driver state shared between the arrival chain, the in-flight wire
@@ -431,51 +411,6 @@ struct PlaneState {
     flow_cache: FlowHashCache,
 }
 
-/// Installs an open-loop arrival process routed through an explicitly
-/// configured [`MultiQueueNic`]: wire transit, RSS steering into bounded
-/// RX rings, burst-draining polling core, per-worker backpressure.
-/// [`Placement::Rss`] is this with [`NicConfig::for_workers`].
-pub fn install_open_loop_nic(
-    q: &mut EventQueue<Event>,
-    gen: OpenLoop,
-    app: usize,
-    cfg: NicConfig,
-    until: Nanos,
-    net: Option<NetProfile>,
-) {
-    install_open_loop_ctl(q, gen, app, cfg, until, net, OverloadControl::default());
-}
-
-/// [`install_open_loop_nic`] with the overload-control layers of
-/// [`OverloadControl`] armed: CoDel on the rings, deadline-aware
-/// admission at the polling core, and the retrying client. The poller
-/// also feeds the machine's brownout controller
-/// ([`Machine::note_overload_sample`]) one sample per poll round — worst
-/// head-of-ring sojourn plus whether any drain was backpressured —
-/// whether or not any layer here is armed.
-pub fn install_open_loop_ctl(
-    q: &mut EventQueue<Event>,
-    gen: OpenLoop,
-    app: usize,
-    cfg: NicConfig,
-    until: Nanos,
-    net: Option<NetProfile>,
-    ctl: OverloadControl,
-) {
-    install_tenants(
-        q,
-        vec![Tenant {
-            gen,
-            app,
-            class: None,
-        }],
-        cfg,
-        until,
-        net,
-        ctl,
-    );
-}
-
 /// One co-located application's share of a multi-tenant load: its own
 /// arrival process and application id, plus (optionally) a fixed SLO
 /// class stamped on every request it generates.
@@ -491,14 +426,21 @@ pub struct Tenant {
     pub class: Option<u8>,
 }
 
-/// Installs several tenants onto ONE shared NIC data plane: all arrival
-/// chains feed the same RSS rings and the same polling core, so tenants
-/// contend for ring slots, poll bandwidth, and workers exactly as
-/// co-located applications contend for a real NIC. With
-/// [`AdmissionConfig::class_slo`] armed, the polling core sheds each
-/// request against *its own class's* deadline and service estimate; with
-/// [`OverloadControl::retry_frac`] armed, each class retries from its
-/// own token bucket.
+/// Installs tenants onto ONE shared NIC data plane: wire transit, RSS
+/// steering into the bounded RX rings of a [`MultiQueueNic`] configured
+/// by `cfg`, a burst-draining polling core, and per-worker backpressure.
+/// All arrival chains feed the same rings and the same polling core, so
+/// tenants contend for ring slots, poll bandwidth, and workers exactly as
+/// co-located applications contend for a real NIC.
+///
+/// `ctl` arms the overload-control layers: CoDel on the rings,
+/// deadline-aware admission at the polling core (per class when
+/// [`AdmissionConfig::class_slo`] is set; see [`AdmissionCtl`]), and the
+/// retrying client (per-class buckets when
+/// [`OverloadControl::retry_frac`] is set). The poller also feeds the
+/// machine's brownout controller ([`Machine::note_overload_sample`]) one
+/// sample per poll round — worst head-of-ring sojourn plus whether any
+/// drain was backpressured — whether or not any layer here is armed.
 pub fn install_tenants(
     q: &mut EventQueue<Event>,
     tenants: Vec<Tenant>,
@@ -519,18 +461,6 @@ pub fn install_tenants(
     if let Some(law) = ctl.codel {
         nic.set_codel(law);
     }
-    let class_budget = match (ctl.retry, ctl.retry_frac) {
-        (Some(policy), Some(fracs)) => {
-            let mut cb = ClassRetryBudgets::new(policy.budget_permille, policy.budget_burst);
-            for (c, frac) in fracs.iter().enumerate() {
-                if let Some(permille) = frac {
-                    cb.set_class(c as u8, *permille, policy.budget_burst);
-                }
-            }
-            Some(cb)
-        }
-        _ => None,
-    };
     let st = Rc::new(RefCell::new(PlaneState {
         handed: vec![0; nic.n_rings()],
         nic,
@@ -540,8 +470,11 @@ pub fn install_tenants(
         timeout,
         admission: ctl.admission.map(AdmissionCtl::new),
         retry: ctl.retry.map(|policy| RetryState {
-            budget: RetryBudget::new(policy.budget_permille, policy.budget_burst),
-            class_budget,
+            budget: ClassRetryBudgets::new(
+                policy.budget_permille,
+                policy.budget_burst,
+                ctl.retry_frac,
+            ),
             backoff: Backoff::new(policy.backoff_base, policy.backoff_cap, WIRE_SEED),
             policy,
         }),
@@ -589,24 +522,18 @@ pub fn install_tenants(
         if let Some(dur) = m.chaos_indirection_stick(now) {
             wedge_indirection(q, &st_poll, &mut s, dur);
         }
-        // Per-class admission resync, once per poll round: each class's
+        // Admission backlog resync, once per poll round: each class's
         // in-service backlog is what was handed to workers and has
-        // neither completed nor been shed by the runqueue AQM — divided
-        // by the worker count, because the class law predicts a single
-        // queue draining at the class's per-request estimate while the
-        // machine drains RSS-spread backlog on all workers in parallel.
-        // Admits later this round grow it via `note_admitted`, so a
-        // batch admitted at ring 0 is already backlog for ring 3.
-        let classed = s.admission.as_ref().is_some_and(|a| a.has_classes());
-        if classed {
-            let workers = s.handed.len().max(1) as u64;
-            if let Some(adm) = s.admission.as_mut() {
-                for c in 0..MAX_CLASSES {
-                    let done = m.stats.completed_by_class[c] + m.stats.rq_sheds_by_class[c];
-                    let backlog = m.stats.delivered_by_class[c].saturating_sub(done);
-                    adm.set_class_backlog(c as u8, backlog / workers);
-                }
-            }
+        // neither completed nor been shed by the runqueue AQM. Admits
+        // later this round grow it, so a batch admitted at ring 0 is
+        // already backlog for ring 3.
+        let workers = s.handed.len();
+        if let Some(adm) = s.admission.as_mut() {
+            let st = &m.stats;
+            adm.resync_backlog(workers, |c| {
+                let done = st.completed_by_class[c] + st.rq_sheds_by_class[c];
+                st.delivered_by_class[c].saturating_sub(done)
+            });
         }
         let mut worst_sojourn = Nanos::ZERO;
         let mut backpressured = false;
@@ -653,23 +580,14 @@ pub fn install_tenants(
             let nic_cost = s.nic.poll_cost(ring);
             let mut admitted: Vec<Pkt> = Vec::with_capacity(k);
             for (_, pkt) in batch {
-                let doomed = match s.admission.as_ref() {
-                    // Class-aware: judged against the request's own
-                    // class deadline and that class's service estimate
-                    // and backlog, so a 5 ms batch SLO can never launder
-                    // a doomed 200 µs request through a blended mean.
-                    Some(adm) if classed => adm.should_shed_class(
+                let doomed = s.admission.as_ref().is_some_and(|adm| {
+                    adm.should_shed(
                         pkt.class,
                         now + nic_cost * (admitted.len() as u64 + 1),
                         pkt.send,
-                    ),
-                    Some(adm) => adm.should_shed(
-                        now + nic_cost * (admitted.len() as u64 + 1),
-                        pkt.send,
                         outstanding + admitted.len(),
-                    ),
-                    None => false,
-                };
+                    )
+                });
                 if doomed {
                     if pkt.attempt == 0 {
                         let c = class_slot(pkt.class);
@@ -679,18 +597,15 @@ pub fn install_tenants(
                         m.stats.in_flight_by_class[c] -= 1;
                     }
                     m.note_net(now, Some(ring), NetTrace::AdmissionShed);
-                    // Displacement: what dooms a tight-class request is
-                    // queued looser-class work, so reclaim one slot from
-                    // the loosest backlog per tight-class shed — the
+                    // Displacement: what dooms a registered-class request
+                    // is queued looser-class work, so reclaim one slot
+                    // from the oldest looser backlog per shed — the
                     // feedback that makes the *next* request of this
                     // class admittable (batch is shed first). A shed
                     // batch request displaces nothing: no class is
                     // looser than it.
-                    if classed {
-                        if let Some(slo) = s.admission.as_ref().and_then(|a| a.class_slo(pkt.class))
-                        {
-                            m.shed_for_class(slo);
-                        }
+                    if let Some(slo) = s.admission.as_ref().and_then(|a| a.class_slo(pkt.class)) {
+                        m.shed_for_class(slo);
                     }
                     client_loss(q, &st_poll, &mut s, pkt);
                 } else {
@@ -698,12 +613,7 @@ pub fn install_tenants(
                         // The estimate must cover the full marginal cost
                         // of a queued request, not just its service time,
                         // or every borderline admit busts its deadline.
-                        if classed {
-                            adm.observe_class(pkt.class, pkt.service + stack_overhead());
-                            adm.note_admitted(pkt.class);
-                        } else {
-                            adm.observe(pkt.service + stack_overhead());
-                        }
+                        adm.observe(pkt.class, pkt.service + stack_overhead());
                     }
                     admitted.push(pkt);
                 }
@@ -802,7 +712,7 @@ fn install_tenant_chain(
             // its fate — the budget tracks offered load, not successes.
             let mut s = st_arr.borrow_mut();
             if let Some(r) = s.retry.as_mut() {
-                r.on_request(req_class);
+                r.budget.on_request(req_class);
             }
         }
         match fate {
@@ -963,7 +873,7 @@ fn lose_attempt(
     }
     let retry_delay = s.retry.as_mut().and_then(|r| {
         let more = pkt.attempt + 1 < r.policy.max_attempts;
-        (more && r.try_spend(pkt.class)).then(|| r.backoff.next_delay())
+        (more && r.budget.try_spend(pkt.class)).then(|| r.backoff.next_delay())
     });
     match retry_delay {
         Some(delay) => {
@@ -1050,7 +960,7 @@ mod tests {
             Nanos::from_us(100),
             9,
         );
-        install_open_loop(&mut q, gen, 0, Placement::Queue, Nanos::from_ms(20));
+        install_open_loop_net(&mut q, gen, 0, Placement::Queue, Nanos::from_ms(20), None);
         m.run(&mut q, Nanos::from_ms(40));
         // ~50k rps for 20 ms = ~1000 requests.
         assert!(
@@ -1211,7 +1121,14 @@ mod tests {
             Nanos::from_us(100),
             10,
         );
-        install_open_loop(&mut q, gen, 0, Placement::Rss { n: 4 }, Nanos::from_ms(10));
+        install_open_loop_net(
+            &mut q,
+            gen,
+            0,
+            Placement::Rss { n: 4 },
+            Nanos::from_ms(10),
+            None,
+        );
         m.run(&mut q, Nanos::from_ms(20));
         assert!(m.stats.completed > 1500, "completed {}", m.stats.completed);
         // Response includes both wire transits (~2 us), the service
@@ -1243,12 +1160,13 @@ mod tests {
             Nanos::from_us(100),
             10,
         );
-        install_open_loop(
+        install_open_loop_net(
             &mut q,
             gen,
             0,
             Placement::RssDirect { n: 4 },
             Nanos::from_ms(10),
+            None,
         );
         m.run(&mut q, Nanos::from_ms(20));
         assert!(m.stats.completed > 1500, "completed {}", m.stats.completed);
@@ -1257,6 +1175,15 @@ mod tests {
         let p50 = m.stats.resp_hist.percentile(50.0);
         assert!(p50 >= 4_530, "p50 {p50}");
         assert_eq!(m.stats.net_generated, 0, "no NIC on the direct path");
+    }
+
+    /// `gen` as the only tenant: app 0, classed by service threshold.
+    fn solo(gen: OpenLoop) -> Vec<Tenant> {
+        vec![Tenant {
+            gen,
+            app: 0,
+            class: None,
+        }]
     }
 
     /// Conservation invariant #8: every datagram the NIC ever saw is in
@@ -1305,7 +1232,7 @@ mod tests {
             );
             let mut nic = NicConfig::for_workers(4);
             nic.client_timeout = Nanos::from_ms(1);
-            install_open_loop_ctl(&mut q, gen, 0, nic, Nanos::from_ms(10), None, ctl);
+            install_tenants(&mut q, solo(gen), nic, Nanos::from_ms(10), None, ctl);
             m.run(&mut q, Nanos::from_ms(40));
             m
         };
@@ -1552,10 +1479,9 @@ mod tests {
             retry: Some(RetryPolicy::default()),
             ..OverloadControl::default()
         };
-        install_open_loop_ctl(
+        install_tenants(
             &mut q,
-            gen,
-            0,
+            solo(gen),
             NicConfig::for_workers(4),
             Nanos::from_ms(10),
             Some(NetProfile::lossy(4, 0.10, 0.0, Nanos::from_ms(1))),
@@ -1611,7 +1537,14 @@ mod tests {
         );
         let mut nic = NicConfig::for_workers(4);
         nic.client_timeout = Nanos::from_ms(1);
-        install_open_loop_nic(&mut q, gen, 0, nic, Nanos::from_ms(10), None);
+        install_tenants(
+            &mut q,
+            solo(gen),
+            nic,
+            Nanos::from_ms(10),
+            None,
+            OverloadControl::default(),
+        );
         m.run(&mut q, Nanos::from_ms(30));
         let s = &m.stats;
         assert!(s.rx_ring_drops > 0, "2x overload must tail-drop");

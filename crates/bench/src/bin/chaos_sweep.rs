@@ -20,7 +20,7 @@
 
 use skyloft::machine::{AppKind, Event, Machine, MachineConfig};
 use skyloft::{FaultPlan, Platform, RecoveryConfig};
-use skyloft_apps::synthetic::{dispersive, dispersive_threshold, install_open_loop, Placement};
+use skyloft_apps::synthetic::{dispersive, dispersive_threshold, install_open_loop_net, Placement};
 use skyloft_bench::{scaled, setup, Cli};
 use skyloft_hw::Topology;
 use skyloft_metrics::Table;
@@ -99,7 +99,7 @@ fn run_cell(cli: &Cli, arming_drop_p: f64, recovery_on: bool, cfg: &RunCfg) -> C
         dispersive_threshold(),
         cfg.seed ^ 0x0D15_9E25,
     );
-    install_open_loop(&mut q, gen, 0, Placement::Queue, end);
+    install_open_loop_net(&mut q, gen, 0, Placement::Queue, end, None);
     m.run(&mut q, cfg.warmup);
     m.reset_stats(q.now());
     m.run(&mut q, end);
@@ -137,7 +137,7 @@ fn run_cell(cli: &Cli, arming_drop_p: f64, recovery_on: bool, cfg: &RunCfg) -> C
 /// generated datagram still lands in exactly one terminal bucket, and
 /// the invariant checker stays clean.
 fn dataplane_phase(cli: &Cli, cfg: &RunCfg) {
-    use skyloft_apps::synthetic::{install_open_loop_ctl, OverloadControl};
+    use skyloft_apps::synthetic::{install_tenants, OverloadControl, Tenant};
     use skyloft_net::dataplane::NicConfig;
 
     const DP_WORKERS: usize = 4;
@@ -171,10 +171,13 @@ fn dataplane_phase(cli: &Cli, cfg: &RunCfg) {
         dispersive_threshold(),
         cfg.seed ^ 0x0D15_DA7A,
     );
-    install_open_loop_ctl(
+    install_tenants(
         &mut q,
-        gen,
-        0,
+        vec![Tenant {
+            gen,
+            app: 0,
+            class: None,
+        }],
         NicConfig::for_workers(DP_WORKERS),
         end,
         None,

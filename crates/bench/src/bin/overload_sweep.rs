@@ -23,7 +23,7 @@
 use skyloft::BrownoutConfig;
 use skyloft_apps::harness::{par_map, sweep_threads};
 use skyloft_apps::memcached::{usr_distribution, usr_threshold};
-use skyloft_apps::synthetic::{install_open_loop_ctl, OverloadControl};
+use skyloft_apps::synthetic::{install_tenants, OverloadControl, Tenant};
 use skyloft_bench::baseline::{Baseline, Gate, Section};
 use skyloft_bench::{build, scaled, Cli};
 use skyloft_metrics::Table;
@@ -111,7 +111,12 @@ fn run_point(rate: f64, ctl_on: bool, smoke: bool) -> OverPoint {
     } else {
         OverloadControl::default()
     };
-    install_open_loop_ctl(&mut q, gen, 0, nic, end, None, ctl);
+    let tenant = Tenant {
+        gen,
+        app: 0,
+        class: None,
+    };
+    install_tenants(&mut q, vec![tenant], nic, end, None, ctl);
     m.run(&mut q, warmup);
     m.reset_stats(q.now());
     // Run far past `end` so every retry attempt resolves and the rings

@@ -34,12 +34,13 @@ fn main() {
         _ => build::shinjuku(20, Some(Nanos::from_us(30))),
     };
     let gen = skyloft_net::loadgen::OpenLoop::new(rate, dispersive(), dispersive_threshold(), 1);
-    skyloft_apps::synthetic::install_open_loop(
+    skyloft_apps::synthetic::install_open_loop_net(
         &mut q,
         gen,
         0,
         Placement::Queue,
         Nanos::from_ms(250),
+        None,
     );
     m.run(&mut q, Nanos::from_ms(50));
     m.reset_stats(q.now());

@@ -1,33 +1,31 @@
-//! Runqueue AQM: the CoDel drop law on *scheduler* queue sojourn.
+//! The machine's overload state; `Machine` keeps only the hooks (arming,
+//! the periodic tick, and the mark-and-reap of condemned tasks).
 //!
-//! PR 6 put CoDel on the NIC RX rings, so overload entering through the
-//! data plane is bounded before it reaches the scheduler. But requests
-//! injected directly via `spawn_request` — or a backlog that builds up
-//! *inside* the runqueues because service times stretched — bypass that
-//! ring entirely. This module is the second containment ring: the machine
-//! samples every app's worst runqueue sojourn on a fixed poll period
-//! ([`crate::conf::RunqueueAqmConfig::poll_every`]) and feeds it through a
-//! per-app CoDel controller. When an app's controller fires, the machine
-//! condemns the oldest queued request of a *sheddable* app (see
-//! [`crate::machine::Machine::set_runqueue_aqm`] for the victim-selection
-//! rule); the condemned task is terminated, not run, at its next dequeue.
+//! * [`RunqueueAqm`] — CoDel on *scheduler* queue sojourn, the second
+//!   containment ring behind the RX-ring AQM: requests injected via
+//!   `spawn_request`, or a backlog that builds up inside the runqueues,
+//!   bypass the rings. Every `poll_every` each app's worst sojourn feeds
+//!   a per-app controller; a firing condemns the oldest queued request of
+//!   a *sheddable* app, which is terminated, not run, at its next
+//!   dequeue. The drop law is the RX-ring `Codel` of `skyloft-net`
+//!   (Nichols & Jacobson, CACM 2012), duplicated because `skyloft-net`
+//!   deliberately depends only on `skyloft-sim`.
+//! * `Victims` — the victim choice the AQM tick and displacement
+//!   (`Machine::shed_for_class`) share: one scan of the `queued` tasks,
+//!   oldest first, ties within an app in scan order, ties across apps to
+//!   the first app.
+//! * `Brownout` — an EWMA of overload samples with a hysteresis band;
+//!   while engaged, the §5.2 core allocator treats every tick as
+//!   congested and sheds BE share before LC is touched.
 //!
-//! The drop law is the same integer state machine as the RX-ring
-//! `Codel` in `skyloft-net` (Nichols & Jacobson, CACM 2012): quiescent
-//! below `target`; after sojourn stays above `target` for one full
-//! `interval` the controller enters the dropping state and fires at
-//! `interval/√count` spacing, resuming near the previous rate on quick
-//! re-entry. It is duplicated here rather than imported because
-//! `skyloft-net` deliberately depends only on `skyloft-sim`, so neither
-//! crate can reuse the other's copy of the law.
-//!
-//! Pure data structure: no RNG, no clock, driven with explicit `now`
-//! values, so it is deterministic and directly unit-testable.
+//! All are pure data structures driven with explicit `now` values, so
+//! they are deterministic and directly unit-testable.
 
 use skyloft_sim::Nanos;
 
-use crate::conf::RunqueueAqmConfig;
-use crate::task::{AppId, TaskId};
+use crate::conf::{BrownoutConfig, RunqueueAqmConfig};
+use crate::machine::{AppDesc, CoreState};
+use crate::task::{AppId, TaskId, TaskState, TaskTable};
 
 /// Per-app CoDel state (the same fields as the RX-ring controller).
 #[derive(Clone, Copy, Debug, Default)]
@@ -45,24 +43,99 @@ struct CodelState {
     last_count: u32,
 }
 
-/// Per-scan record of an app's oldest queued task.
+/// A queued task as overload control sees it.
 #[derive(Clone, Copy, Debug)]
-struct Oldest {
+pub(crate) struct Queued {
+    app: AppId,
     task: TaskId,
+    /// When the task last became runnable.
     since: Nanos,
 }
 
-/// The machine-side runqueue AQM: one CoDel controller per application,
-/// plus the per-poll scan scratch (oldest queued task per app).
+/// The tasks overload control may condemn, in table order: runnable and
+/// not yet condemned. Machine-managed BE spinners are skipped — they
+/// park outside the policy queues, and their "sojourn" is idle time, not
+/// congestion.
+pub(crate) fn queued<'a>(
+    tasks: &'a TaskTable,
+    cores: &'a [CoreState],
+) -> impl Iterator<Item = Queued> + 'a {
+    tasks
+        .iter()
+        .filter(move |t| {
+            t.state == TaskState::Runnable
+                && !t.shed
+                && t.home.is_none_or(|h| cores[h].be_task != Some(t.id))
+        })
+        .map(|t| Queued {
+            app: t.app,
+            task: t.id,
+            since: t.runnable_since,
+        })
+}
+
+/// Victim pools from one scan of queued tasks: each eligible app's tasks,
+/// handed out oldest first. Ties within an app go in scan order; across
+/// apps, the first app in order wins.
+#[derive(Debug)]
+pub(crate) struct Victims {
+    /// Per app, eligible or not, its oldest queued instant.
+    oldest: Vec<Option<Nanos>>,
+    /// Per eligible app, its tasks newest first, so the oldest pops off
+    /// the end (a stable ascending sort, reversed: ties pop in scan order).
+    pools: Vec<Vec<(Nanos, TaskId)>>,
+}
+
+impl Victims {
+    /// Pools the tasks of `queued` whose app is `eligible`, for a machine
+    /// of `n_apps` applications.
+    pub(crate) fn collect(
+        n_apps: usize,
+        queued: impl Iterator<Item = Queued>,
+        eligible: impl Fn(AppId) -> bool,
+    ) -> Self {
+        let mut oldest: Vec<Option<Nanos>> = vec![None; n_apps];
+        let mut pools = vec![Vec::new(); n_apps];
+        for q in queued {
+            if oldest[q.app].is_none_or(|o| q.since < o) {
+                oldest[q.app] = Some(q.since);
+            }
+            if eligible(q.app) {
+                pools[q.app].push((q.since, q.task));
+            }
+        }
+        for p in &mut pools {
+            p.sort_by_key(|&(since, _)| since);
+            p.reverse();
+        }
+        Victims { oldest, pools }
+    }
+
+    /// Takes `app`'s oldest remaining task.
+    pub(crate) fn take(&mut self, app: AppId) -> Option<TaskId> {
+        self.pools[app].pop().map(|(_, t)| t)
+    }
+
+    /// Takes the oldest remaining task of any app.
+    pub(crate) fn take_oldest(&mut self) -> Option<TaskId> {
+        let mut best: Option<(AppId, Nanos)> = None;
+        for (app, p) in self.pools.iter().enumerate() {
+            if let Some(&(since, _)) = p.last() {
+                if best.is_none_or(|(_, b)| since < b) {
+                    best = Some((app, since));
+                }
+            }
+        }
+        self.take(best?.0)
+    }
+}
+
+/// The machine-side runqueue AQM: one CoDel controller per application.
 #[derive(Debug)]
 pub struct RunqueueAqm {
     cfg: RunqueueAqmConfig,
     /// Controllers, indexed by `AppId` (grown on demand).
     apps: Vec<CodelState>,
-    /// Scan scratch: the oldest queued task seen for each app this poll.
-    oldest: Vec<Option<Oldest>>,
-    /// Tasks condemned so far.
-    condemned: u64,
 }
 
 impl RunqueueAqm {
@@ -71,8 +144,6 @@ impl RunqueueAqm {
         RunqueueAqm {
             cfg,
             apps: Vec::new(),
-            oldest: Vec::new(),
-            condemned: 0,
         }
     }
 
@@ -81,41 +152,56 @@ impl RunqueueAqm {
         self.cfg
     }
 
-    /// Tasks condemned so far.
-    pub fn condemned(&self) -> u64 {
-        self.condemned
-    }
-
-    /// Counts one condemned task (called by the machine when it marks a
-    /// victim).
-    pub fn note_condemned(&mut self) {
-        self.condemned += 1;
-    }
-
-    /// Resets the scan scratch for a poll over `n_apps` applications.
-    pub fn begin_scan(&mut self, n_apps: usize) {
-        self.oldest.clear();
-        self.oldest.resize(n_apps, None);
-        if self.apps.len() < n_apps {
-            self.apps.resize(n_apps, CodelState::default());
+    /// One poll over the `queued` tasks of the machine running `apps`.
+    /// Feeds each app's worst sojourn into
+    /// its controller and appends every victim the drop law owes to
+    /// `condemned`. Returns the worst sojourn across apps (`None` when
+    /// nothing is queued), the brownout controller's sample.
+    ///
+    /// An app is sheddable when its class SLO is at least
+    /// `sheddable_slo`; unclassed and tight-deadline (LC) apps are never
+    /// shed — their congestion sheds *other* (batch) apps instead. Each
+    /// drop condemns the firing app's own oldest queued task when it is
+    /// sheddable, else the oldest queued task of any sheddable app.
+    pub(crate) fn tick(
+        &mut self,
+        now: Nanos,
+        queued: impl Iterator<Item = Queued>,
+        apps: &[AppDesc],
+        condemned: &mut Vec<TaskId>,
+    ) -> Option<Nanos> {
+        let sheddable_slo = self.cfg.sheddable_slo;
+        let sheddable = |app: AppId| apps[app].slo.is_some_and(|s| s.slo >= sheddable_slo);
+        // Whole pools, not just each app's head: the tick is far coarser
+        // than per-dequeue CoDel, so one firing may owe several drops.
+        let mut victims = Victims::collect(apps.len(), queued, sheddable);
+        let mut worst: Option<Nanos> = None;
+        for (app, desc) in apps.iter().enumerate() {
+            let Some(since) = victims.oldest[app] else {
+                continue;
+            };
+            let sojourn = now.saturating_sub(since);
+            worst = Some(worst.map_or(sojourn, |w| w.max(sojourn)));
+            // An app with a registered SLO is judged against half its own
+            // deadline; unclassed apps use the configured target.
+            let target = desc.slo.map(|s| Nanos(s.slo.0 / 2));
+            // Drain every drop the law owes at this tick (CoDel fires at
+            // `interval/√count` spacing, which can be shorter than the
+            // poll period once count grows). Out of victims ⇒ stop
+            // sampling so count doesn't inflate on no-op fires.
+            while self.on_sample(app, now, sojourn, target) {
+                let victim = if sheddable(app) {
+                    victims.take(app)
+                } else {
+                    victims.take_oldest()
+                };
+                let Some(v) = victim else {
+                    break;
+                };
+                condemned.push(v);
+            }
         }
-    }
-
-    /// Records one queued task in the scan: keeps the oldest
-    /// (smallest `runnable_since`) per app.
-    pub fn observe(&mut self, app: AppId, task: TaskId, since: Nanos) {
-        let slot = &mut self.oldest[app];
-        if slot.is_none_or(|o| since < o.since) {
-            *slot = Some(Oldest { task, since });
-        }
-    }
-
-    /// The oldest queued task of `app` seen by the current scan, with its
-    /// `runnable_since`. `None` when the app has nothing queued.
-    pub fn app_oldest(&self, app: AppId) -> Option<(TaskId, Nanos)> {
-        self.oldest
-            .get(app)
-            .and_then(|o| o.map(|o| (o.task, o.since)))
+        worst
     }
 
     /// Feeds `app`'s worst-sojourn sample into its controller. `target`
@@ -168,6 +254,73 @@ impl RunqueueAqm {
                 true
             }
         }
+    }
+}
+
+/// The LC/BE brownout controller: an EWMA of the overload samples the
+/// polling core (and the runqueue AQM tick) report, compared against a
+/// hysteresis band — engage above `enter_sojourn`, release below
+/// `exit_sojourn`, and never flip twice within `min_dwell`.
+#[derive(Debug)]
+pub(crate) struct Brownout {
+    cfg: BrownoutConfig,
+    /// EWMA of the overload signal, in nanoseconds.
+    ewma: Nanos,
+    engaged: bool,
+    /// Instant of the last transition (hysteresis dwell).
+    last_transition: Nanos,
+    transitions: u64,
+}
+
+impl Brownout {
+    /// A disengaged controller.
+    pub fn new(cfg: BrownoutConfig) -> Self {
+        Brownout {
+            cfg,
+            ewma: Nanos::ZERO,
+            engaged: false,
+            last_transition: Nanos::ZERO,
+            transitions: 0,
+        }
+    }
+
+    /// Whether the brownout is engaged (BE share being shed).
+    pub fn engaged(&self) -> bool {
+        self.engaged
+    }
+
+    /// Engage/release transitions performed.
+    pub fn transitions(&self) -> u64 {
+        self.transitions
+    }
+
+    /// Folds one sample into the EWMA: the observed sojourn, inflated by
+    /// half the engage threshold when `backpressured` so a saturated
+    /// pipeline with artificially short rings still trips the controller.
+    /// Returns the new state when this sample flipped it.
+    pub fn on_sample(&mut self, now: Nanos, sojourn: Nanos, backpressured: bool) -> Option<bool> {
+        let cfg = self.cfg;
+        let penalty = if backpressured {
+            Nanos(cfg.enter_sojourn.0 / 2)
+        } else {
+            Nanos::ZERO
+        };
+        let sample = (sojourn + penalty).0 as i128;
+        let ewma = self.ewma.0 as i128;
+        self.ewma = Nanos((ewma + ((sample - ewma) >> cfg.ewma_shift)) as u64);
+        let dwelled = now.saturating_sub(self.last_transition) >= cfg.min_dwell;
+        let flip = if self.engaged {
+            self.ewma < cfg.exit_sojourn
+        } else {
+            self.ewma > cfg.enter_sojourn
+        };
+        if !(flip && dwelled) {
+            return None;
+        }
+        self.engaged = !self.engaged;
+        self.last_transition = now;
+        self.transitions += 1;
+        Some(self.engaged)
     }
 }
 
@@ -241,17 +394,32 @@ mod tests {
     }
 
     #[test]
-    fn scan_tracks_oldest_per_app() {
-        let mut a = RunqueueAqm::new(cfg());
-        a.begin_scan(2);
-        a.observe(0, tid(1), Nanos(300));
-        a.observe(0, tid(2), Nanos(100));
-        a.observe(0, tid(3), Nanos(200));
-        a.observe(1, tid(4), Nanos(50));
-        assert_eq!(a.app_oldest(0), Some((tid(2), Nanos(100))));
-        assert_eq!(a.app_oldest(1), Some((tid(4), Nanos(50))));
-        a.begin_scan(2);
-        assert_eq!(a.app_oldest(0), None);
+    fn victims_go_oldest_first_with_stable_ties() {
+        let q = |app, idx, since| Queued {
+            app,
+            task: tid(idx),
+            since: Nanos(since),
+        };
+        // App 2 is not eligible; apps 0 and 1 tie at 100.
+        let scan = [
+            q(0, 1, 300),
+            q(1, 2, 100),
+            q(0, 3, 100),
+            q(0, 4, 200),
+            q(2, 5, 10),
+            q(0, 6, 100),
+        ];
+        let mut v = Victims::collect(3, scan.into_iter(), |app| app < 2);
+        // Within app 0, the 100 tie goes in scan order.
+        assert_eq!(v.take(0), Some(tid(3)));
+        // Across apps the first app wins a tie: app 0's remaining 100
+        // before app 1's.
+        assert_eq!(v.take_oldest(), Some(tid(6)));
+        assert_eq!(v.take_oldest(), Some(tid(2)));
+        assert_eq!(v.take_oldest(), Some(tid(4)));
+        assert_eq!(v.take(1), None);
+        assert_eq!(v.take_oldest(), Some(tid(1)));
+        assert_eq!(v.take_oldest(), None, "app 2 was never eligible");
     }
 
     #[test]

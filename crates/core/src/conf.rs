@@ -234,30 +234,24 @@ pub struct SloClass {
     /// The application's service-level objective: the response-time bound
     /// its requests are admitted against.
     pub slo: Nanos,
-    /// Relative weight among classes (1024 = baseline). Reserved for
-    /// weighted shedding; recorded per class so policy experiments can
-    /// read it back.
-    pub weight: u32,
     /// Fraction of this class's offered load it may spend on retries,
     /// in permille (‰) of generated requests.
     pub retry_frac: u32,
 }
 
 impl SloClass {
-    /// A latency-critical class: tight SLO, full weight, modest retries.
+    /// A latency-critical class: tight SLO, modest retries.
     pub fn latency_critical(slo: Nanos) -> Self {
         SloClass {
             slo,
-            weight: 1024,
             retry_frac: 100,
         }
     }
 
-    /// A batch/best-effort class: loose SLO, reduced weight, few retries.
+    /// A batch/best-effort class: loose SLO, few retries.
     pub fn batch(slo: Nanos) -> Self {
         SloClass {
             slo,
-            weight: 256,
             retry_frac: 20,
         }
     }
@@ -449,7 +443,6 @@ mod tests {
         let lc = SloClass::latency_critical(Nanos::from_us(200));
         let be = SloClass::batch(Nanos::from_ms(5));
         assert!(lc.slo < be.slo);
-        assert!(lc.weight > be.weight);
         assert!(lc.retry_frac > be.retry_frac);
     }
 

@@ -25,12 +25,14 @@ use skyloft_kmod::FaultMonitor;
 use skyloft_kmod::{Kmod, Tid};
 use skyloft_sim::{EventQueue, Nanos, Rng, Token};
 
-use crate::aqm::RunqueueAqm;
+use crate::aqm::{queued, Brownout, RunqueueAqm, Victims};
 #[cfg(feature = "chaos")]
 use crate::chaos::{ChaosEngine, ChaosEvent};
 #[cfg(feature = "chaos")]
 use crate::conf::RecoveryConfig;
-use crate::conf::{CoreAllocConfig, Platform, PreemptMechanism, RunqueueAqmConfig, SloClass};
+use crate::conf::{
+    BrownoutConfig, CoreAllocConfig, Platform, PreemptMechanism, RunqueueAqmConfig, SloClass,
+};
 use crate::ops::{EnqueueFlags, Policy, PolicyKind, SchedEnv};
 use crate::stats::Stats;
 use crate::task::{AppId, Behavior, RequestMeta, Step, Task, TaskId, TaskState, TaskTable};
@@ -258,19 +260,6 @@ impl CoreState {
     }
 }
 
-/// One per-app brownout controller: the same EWMA + hysteresis law as the
-/// global controller ([`Machine::note_overload_sample`]), but fed from the
-/// app's own runqueue sojourn so each SLO class engages and releases on
-/// its own thresholds instead of one machine-wide band.
-#[derive(Debug)]
-struct AppBrownout {
-    cfg: crate::conf::BrownoutConfig,
-    ewma: Nanos,
-    engaged: bool,
-    last_transition: Nanos,
-    transitions: u64,
-}
-
 /// Machine construction parameters.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
@@ -385,22 +374,9 @@ pub struct Machine {
     pub core_alloc: Option<CoreAllocConfig>,
     /// The registered best-effort application.
     pub be_app: Option<AppId>,
-    /// Brownout controller configuration ([`Machine::set_brownout`]);
-    /// `None` leaves the §5.2 allocator's behaviour untouched.
-    brownout: Option<crate::conf::BrownoutConfig>,
-    /// EWMA of the polling core's overload signal (ring sojourn plus
-    /// backpressure penalty), in nanoseconds.
-    brownout_ewma: Nanos,
-    /// Whether the brownout is currently engaged (BE share being shed).
-    browned_out: bool,
-    /// Instant of the last brownout state transition (hysteresis dwell).
-    brownout_last_transition: Nanos,
-    /// Engage/release transitions performed, total.
-    brownout_transitions: u64,
-    /// Per-app brownout controllers ([`Machine::set_app_brownout`]),
-    /// indexed by `AppId`; an engaged entry makes the machine behave as
-    /// browned-out exactly like the global controller.
-    app_brownout: Vec<Option<AppBrownout>>,
+    /// Brownout controller ([`Machine::set_brownout`]); `None` leaves the
+    /// §5.2 allocator's behaviour untouched.
+    brownout: Option<Brownout>,
     /// Runqueue AQM ([`Machine::set_runqueue_aqm`]): CoDel on scheduler
     /// queue sojourn, the second containment ring behind the RX-ring AQM.
     rq_aqm: Option<RunqueueAqm>,
@@ -509,11 +485,6 @@ impl Machine {
             core_alloc: cfg.core_alloc,
             be_app: None,
             brownout: None,
-            brownout_ewma: Nanos::ZERO,
-            browned_out: false,
-            brownout_last_transition: Nanos::ZERO,
-            brownout_transitions: 0,
-            app_brownout: Vec::new(),
             rq_aqm: None,
             #[cfg(feature = "chaos")]
             recovery: RecoveryConfig::default(),
@@ -748,13 +719,13 @@ impl Machine {
     /// overload samples ([`Machine::note_overload_sample`]) drive a
     /// hysteretic engage/release loop: while engaged, every core-allocator
     /// tick behaves as congested, shedding BE share before LC is touched.
-    pub fn set_brownout(&mut self, cfg: crate::conf::BrownoutConfig) {
-        self.brownout = Some(cfg);
+    pub fn set_brownout(&mut self, cfg: BrownoutConfig) {
+        self.brownout = Some(Brownout::new(cfg));
     }
 
-    /// Registers `app`'s SLO class: its per-class deadline, scheduling
-    /// weight and retry fraction. Apps without a class keep the legacy
-    /// (global-threshold, never-shed) behaviour.
+    /// Registers `app`'s SLO class: its per-class deadline and retry
+    /// fraction. Apps without a class are never shed by the runqueue AQM
+    /// or by displacement.
     pub fn set_slo_class(&mut self, app: AppId, slo: SloClass) {
         self.apps[app].slo = Some(slo);
     }
@@ -763,136 +734,48 @@ impl Machine {
     /// app's worst runqueue sojourn into a per-app CoDel controller; past
     /// target/interval, the controller condemns the oldest queued task of
     /// a *sheddable* app (one whose [`SloClass::slo`] is at least
-    /// `sheddable_slo`). Condemned tasks are terminated, not run, when a
-    /// scheduling path next dequeues them. Must be called before
-    /// [`Machine::start`].
+    /// `sheddable_slo`; see [`RunqueueAqm`]). Condemned tasks are
+    /// terminated, not run, when a scheduling path next dequeues them.
+    /// Must be called before [`Machine::start`].
     pub fn set_runqueue_aqm(&mut self, cfg: RunqueueAqmConfig) {
         assert!(!self.started, "arm the runqueue AQM before start");
         self.rq_aqm = Some(RunqueueAqm::new(cfg));
     }
 
-    /// Arms a per-app brownout controller with its own hysteresis band,
-    /// fed from the app's runqueue sojourn by the runqueue AQM tick. Any
-    /// engaged per-app controller makes the machine behave browned-out
-    /// exactly like the global one.
-    pub fn set_app_brownout(&mut self, app: AppId, cfg: crate::conf::BrownoutConfig) {
-        assert!(app < self.apps.len(), "unknown app");
-        if self.app_brownout.len() <= app {
-            self.app_brownout.resize_with(app + 1, || None);
-        }
-        self.app_brownout[app] = Some(AppBrownout {
-            cfg,
-            ewma: Nanos::ZERO,
-            engaged: false,
-            last_transition: Nanos::ZERO,
-            transitions: 0,
-        });
-    }
-
-    /// Whether any brownout controller (global or per-app) is shedding.
+    /// Whether the brownout controller is shedding BE share.
     pub fn browned_out(&self) -> bool {
-        self.browned_out
-            || self
-                .app_brownout
-                .iter()
-                .any(|b| b.as_ref().is_some_and(|b| b.engaged))
-    }
-
-    /// Whether `app`'s per-app brownout controller is engaged (`false`
-    /// when none is armed).
-    pub fn app_browned_out(&self, app: AppId) -> bool {
-        self.app_brownout
-            .get(app)
-            .and_then(|b| b.as_ref())
-            .is_some_and(|b| b.engaged)
-    }
-
-    /// Engage/release transitions of `app`'s brownout controller.
-    pub fn app_brownout_transitions(&self, app: AppId) -> u64 {
-        self.app_brownout
-            .get(app)
-            .and_then(|b| b.as_ref())
-            .map_or(0, |b| b.transitions)
-    }
-
-    /// Feeds one scheduler-side overload sample into `app`'s brownout
-    /// controller: the same EWMA + hysteresis law as
-    /// [`Machine::note_overload_sample`], minus the backpressure penalty
-    /// (runqueue sojourn has no ring to backpressure).
-    pub fn note_app_overload_sample(&mut self, now: Nanos, app: AppId, sojourn: Nanos) {
-        let Some(Some(b)) = self.app_brownout.get_mut(app) else {
-            return;
-        };
-        let sample = sojourn.0 as i128;
-        let ewma = b.ewma.0 as i128;
-        b.ewma = Nanos((ewma + ((sample - ewma) >> b.cfg.ewma_shift)) as u64);
-        let dwelled = now.saturating_sub(b.last_transition) >= b.cfg.min_dwell;
-        let mut flipped = None;
-        if !b.engaged && b.ewma > b.cfg.enter_sojourn && dwelled {
-            b.engaged = true;
-            b.last_transition = now;
-            b.transitions += 1;
-            flipped = Some(true);
-        } else if b.engaged && b.ewma < b.cfg.exit_sojourn && dwelled {
-            b.engaged = false;
-            b.last_transition = now;
-            b.transitions += 1;
-            flipped = Some(false);
-        }
-        #[cfg(feature = "trace")]
-        if let Some(on) = flipped {
-            self.trace_emit(
-                now,
-                None,
-                None,
-                if on {
-                    TraceKind::BrownoutShed
-                } else {
-                    TraceKind::BrownoutClear
-                },
-            );
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = flipped;
+        self.brownout.as_ref().is_some_and(Brownout::engaged)
     }
 
     /// Total engage/release transitions the brownout controller performed.
     pub fn brownout_transitions(&self) -> u64 {
-        self.brownout_transitions
+        self.brownout.as_ref().map_or(0, Brownout::transitions)
     }
 
     /// Feeds one overload sample from the polling core: the oldest RX-ring
     /// sojourn observed this poll round, plus whether the drained batch hit
-    /// worker backpressure (a full downstream queue). Backpressure inflates
-    /// the sample by half the engage threshold so a saturated pipeline with
-    /// artificially short rings still trips the controller. The EWMA of
-    /// these samples is compared against the hysteresis band: engage above
-    /// `enter_sojourn`, release below `exit_sojourn`, and never flip twice
-    /// within `min_dwell`.
+    /// worker backpressure (a full downstream queue). Backpressure
+    /// inflates the sample by half the engage threshold so a saturated
+    /// pipeline with artificially short rings still trips the controller.
+    /// The EWMA of these samples is compared against the hysteresis band:
+    /// engage above `enter_sojourn`, release below `exit_sojourn`, and
+    /// never flip twice within `min_dwell`.
     pub fn note_overload_sample(&mut self, now: Nanos, sojourn: Nanos, backpressured: bool) {
-        let Some(cfg) = self.brownout else { return };
-        let penalty = if backpressured {
-            Nanos(cfg.enter_sojourn.0 / 2)
-        } else {
-            Nanos::ZERO
+        let Some(b) = self.brownout.as_mut() else {
+            return;
         };
-        let sample = (sojourn + penalty).0 as i128;
-        let ewma = self.brownout_ewma.0 as i128;
-        self.brownout_ewma = Nanos((ewma + ((sample - ewma) >> cfg.ewma_shift)) as u64);
-        let dwelled = now.saturating_sub(self.brownout_last_transition) >= cfg.min_dwell;
-        if !self.browned_out && self.brownout_ewma > cfg.enter_sojourn && dwelled {
-            self.browned_out = true;
-            self.brownout_last_transition = now;
-            self.brownout_transitions += 1;
-            #[cfg(feature = "trace")]
-            self.trace_emit(now, None, None, TraceKind::BrownoutShed);
-        } else if self.browned_out && self.brownout_ewma < cfg.exit_sojourn && dwelled {
-            self.browned_out = false;
-            self.brownout_last_transition = now;
-            self.brownout_transitions += 1;
-            #[cfg(feature = "trace")]
-            self.trace_emit(now, None, None, TraceKind::BrownoutClear);
+        let flipped = b.on_sample(now, sojourn, backpressured);
+        #[cfg(feature = "trace")]
+        if let Some(on) = flipped {
+            let kind = if on {
+                TraceKind::BrownoutShed
+            } else {
+                TraceKind::BrownoutClear
+            };
+            self.trace_emit(now, None, None, kind);
         }
+        #[cfg(not(feature = "trace"))]
+        let _ = flipped;
     }
 
     /// Creates a task without enqueueing it (internal + BE tasks).
@@ -1501,99 +1384,25 @@ impl Machine {
         }
     }
 
-    /// Whether `app` may have queued requests shed by the runqueue AQM: it
-    /// registered an [`SloClass`] and its deadline is loose enough
-    /// (`slo ≥ sheddable_slo`). Unclassed and tight-deadline (LC) apps are
-    /// never shed — their congestion sheds *other* (batch) apps instead.
-    fn app_sheddable(&self, app: AppId, sheddable_slo: Nanos) -> bool {
-        self.apps[app].slo.is_some_and(|s| s.slo >= sheddable_slo)
-    }
-
-    /// One runqueue-AQM poll: scan queued tasks for each app's worst
-    /// sojourn, feed the per-app CoDel controllers, condemn the task the
-    /// drop law selects, and feed the brownout controllers so
-    /// scheduler-side congestion engages the same graceful-degradation
-    /// path as NIC-side congestion.
+    /// One runqueue-AQM poll: condemn the victims the drop law selects
+    /// (see [`RunqueueAqm`]), and feed the worst sojourn to the brownout
+    /// controller so scheduler-side congestion engages the same
+    /// graceful-degradation path as NIC-side congestion.
     fn on_rq_aqm_tick(&mut self, q: &mut EventQueue<Event>) {
         let Some(mut aqm) = self.rq_aqm.take() else {
             return;
         };
         let now = q.now();
         q.schedule_after(aqm.cfg().poll_every, Event::RqAqmTick);
-        aqm.begin_scan(self.apps.len());
-        let sheddable_slo = aqm.cfg().sheddable_slo;
-        // Victim pools: every queued request of each sheddable app, kept
-        // oldest-first so a single tick can serve every drop the control
-        // law says is due (the tick is far coarser than per-dequeue CoDel,
-        // so one firing may owe several drops).
-        let mut pool: Vec<Vec<(TaskId, Nanos)>> = vec![Vec::new(); self.apps.len()];
-        for task in self.tasks.iter() {
-            if task.state != TaskState::Runnable || task.shed {
-                continue;
-            }
-            // Machine-managed BE spinners park outside the policy queues;
-            // their "sojourn" is idle time, not congestion.
-            if task
-                .home
-                .is_some_and(|h| self.cores[h].be_task == Some(task.id))
-            {
-                continue;
-            }
-            aqm.observe(task.app, task.id, task.runnable_since);
-            if self.app_sheddable(task.app, sheddable_slo) {
-                pool[task.app].push((task.id, task.runnable_since));
-            }
-        }
-        for p in pool.iter_mut() {
-            p.sort_by_key(|&(_, since)| since);
-        }
-        let mut cursor = vec![0usize; self.apps.len()];
-        let mut worst: Option<Nanos> = None;
-        for app in 0..self.apps.len() {
-            let Some((_, since)) = aqm.app_oldest(app) else {
-                continue;
-            };
-            let sojourn = now.saturating_sub(since);
-            worst = Some(worst.map_or(sojourn, |w| w.max(sojourn)));
-            self.note_app_overload_sample(now, app, sojourn);
-            // An app with a registered SLO is judged against half its own
-            // deadline; unclassed apps use the global default target.
-            let target = self.apps[app].slo.map(|s| Nanos(s.slo.0 / 2));
-            // Drain every drop the law owes at this tick (CoDel fires at
-            // `interval/√count` spacing, which can be shorter than the
-            // poll period once count grows). Each drop condemns this
-            // app's own next-oldest queued task when the app is
-            // sheddable, else the oldest queued task of any sheddable
-            // app (LC congestion sheds batch first). Out of victims ⇒
-            // stop sampling so count doesn't inflate on no-op fires.
-            while aqm.on_sample(app, now, sojourn, target) {
-                let victim_app = if self.app_sheddable(app, sheddable_slo) {
-                    Some(app)
-                } else {
-                    let mut best: Option<(usize, Nanos)> = None;
-                    for (a, p) in pool.iter().enumerate() {
-                        if let Some(&(_, s)) = p.get(cursor[a]) {
-                            if best.is_none_or(|(_, bs)| s < bs) {
-                                best = Some((a, s));
-                            }
-                        }
-                    }
-                    best.map(|(a, _)| a)
-                };
-                let victim = victim_app.and_then(|a| {
-                    let v = pool[a].get(cursor[a]).map(|&(t, _)| t);
-                    cursor[a] += 1;
-                    v
-                });
-                let Some(v) = victim else {
-                    break;
-                };
-                let vt = self.tasks.get_mut(v);
-                if !vt.shed {
-                    vt.shed = true;
-                    aqm.note_condemned();
-                }
-            }
+        let mut condemned = Vec::new();
+        let worst = aqm.tick(
+            now,
+            queued(&self.tasks, &self.cores),
+            &self.apps,
+            &mut condemned,
+        );
+        for t in condemned {
+            self.tasks.get_mut(t).shed = true;
         }
         if let Some(w) = worst {
             self.note_overload_sample(now, w, false);
@@ -1608,42 +1417,25 @@ impl Machine {
     /// that doomed it is queued batch work — reclaiming one batch slot
     /// per tight-class shed is the feedback that makes *future*
     /// tight-class requests admittable again. Works with or without the
-    /// runqueue AQM armed; the condemned task is terminated (not run) at
-    /// its next dequeue, exactly like an AQM victim. Returns whether a
-    /// victim existed.
+    /// runqueue AQM armed, and picks its victim by the AQM's rule
+    /// (`aqm::Victims`); the condemned task is terminated (not run) at its
+    /// next dequeue, exactly like an AQM victim. Returns whether a victim
+    /// existed.
     pub fn shed_for_class(&mut self, slo: Nanos) -> bool {
-        let mut best: Option<(TaskId, Nanos)> = None;
-        for task in self.tasks.iter() {
-            if task.state != TaskState::Runnable || task.shed {
-                continue;
-            }
-            if task
-                .home
-                .is_some_and(|h| self.cores[h].be_task == Some(task.id))
-            {
-                continue;
-            }
-            if self.apps[task.app].slo.is_none_or(|s| s.slo <= slo) {
-                continue;
-            }
-            if best.is_none_or(|(_, bs)| task.runnable_since < bs) {
-                best = Some((task.id, task.runnable_since));
-            }
+        let apps = &self.apps;
+        let looser = |app: AppId| apps[app].slo.is_some_and(|s| s.slo > slo);
+        // A shed of the loosest class, the common case, has nothing to
+        // displace: skip the scan.
+        if !(0..apps.len()).any(looser) {
+            return false;
         }
-        let Some((victim, _)) = best else {
+        let victim =
+            Victims::collect(apps.len(), queued(&self.tasks, &self.cores), looser).take_oldest();
+        let Some(victim) = victim else {
             return false;
         };
         self.tasks.get_mut(victim).shed = true;
-        if let Some(aqm) = self.rq_aqm.as_mut() {
-            aqm.note_condemned();
-        }
         true
-    }
-
-    /// Tasks the runqueue AQM has condemned so far (marked, whether or
-    /// not a scheduling path has collected them yet).
-    pub fn rq_aqm_condemned(&self) -> u64 {
-        self.rq_aqm.as_ref().map_or(0, |a| a.condemned())
     }
 
     /// Terminates an AQM-condemned task at dequeue time instead of

@@ -20,7 +20,7 @@
 //!
 //! [`MultiQueueNic`] is the host-side state machine for all of that:
 //! rings, indirection table, per-ring drop/occupancy accounting, and the
-//! polling core's serialization clock ([`MultiQueueNic::poller_admit`])
+//! polling core's serialization clock ([`MultiQueueNic::poller_admit_on`])
 //! charging [`crate::nic::RX_POLL_COST`] per packet. It is driven from
 //! the simulation by the arrival installer in `skyloft-apps` (events in,
 //! spawned tasks out); this module itself is pure data structure, so it
@@ -200,23 +200,6 @@ impl<T> MultiQueueNic<T> {
         }
     }
 
-    /// Enqueues a burst of same-flow datagrams arriving together at
-    /// `now`: one RSS lookup steers the whole burst, every packet is
-    /// stamped with the shared arrival instant (the sojourn clock CoDel
-    /// reads at dequeue), and [`Ring::enqueue_burst`] moves them with one
-    /// capacity check. Acceptance and tail-drop decisions are exactly
-    /// those of packet-at-a-time [`MultiQueueNic::enqueue_hashed`] calls.
-    /// Returns `(ring, accepted)`; `burst_len - accepted` tail-dropped.
-    pub fn enqueue_hashed_burst<I>(&mut self, now: Nanos, hash: u32, items: I) -> (usize, usize)
-    where
-        I: IntoIterator<Item = T>,
-    {
-        let ring = self.hasher.ring_for_hash(hash);
-        let accepted = self.rings[ring].enqueue_burst(items.into_iter().map(|p| (now, p)));
-        self.enqueued += accepted as u64;
-        (ring, accepted)
-    }
-
     /// Asks the ring's CoDel controller about a packet dequeued at `now`
     /// that was enqueued at `ts`; `true` means shed it. Always `false`
     /// when AQM is off (or compiled out).
@@ -270,19 +253,6 @@ impl<T> MultiQueueNic<T> {
             .map(|&(ts, _)| now.saturating_sub(ts))
     }
 
-    /// Advances the polling core's serialization clock over a burst of
-    /// `n` packets starting no earlier than `now`: each packet costs
-    /// [`RX_POLL_COST`], and the burst is handed to the worker when the
-    /// last packet of the burst has been processed. Returns that handoff
-    /// instant. The clock is what bounds the poller at `1/RX_POLL_COST`
-    /// packets per second machine-wide.
-    pub fn poller_admit(&mut self, now: Nanos, n: usize) -> Nanos {
-        let start = now.max(self.poller_free_at);
-        let done = start + RX_POLL_COST * n as u64;
-        self.poller_free_at = done;
-        done
-    }
-
     /// The ring's current per-packet poll-cost estimate. Starts at
     /// [`RX_POLL_COST`] and tracks the observed cost as
     /// [`MultiQueueNic::poller_admit_on`] folds samples in — the honest
@@ -292,18 +262,20 @@ impl<T> MultiQueueNic<T> {
         self.poll_cost_est[ring]
     }
 
-    /// Ring-aware variant of [`MultiQueueNic::poller_admit`]: advances
-    /// the serialization clock exactly as that method does (nominal
-    /// [`RX_POLL_COST`] per packet), then delays the handoff by `extra`
-    /// (stall time the poll visit itself suffered — fault injection, IRQ
-    /// steals — which holds up this burst's delivery but does not occupy
-    /// the poll loop for later bursts). The burst's *observed* per-packet
-    /// cost, stall included, is folded back into the ring's estimate by
-    /// an integer EWMA with a 1/8 gain, so sustained perturbation raises
-    /// the per-packet figure admission control charges for NIC-side
-    /// delay. With `extra` zero the sample equals the nominal cost and
-    /// nothing drifts; the returned handoff always matches
-    /// `poller_admit(now, n) + extra`.
+    /// Advances the polling core's serialization clock over a burst of
+    /// `n` packets drained from `ring`, starting no earlier than `now`:
+    /// each packet costs [`RX_POLL_COST`], and the burst is handed to the
+    /// worker when its last packet has been processed, plus `extra` (stall
+    /// time the poll visit itself suffered — fault injection, IRQ steals —
+    /// which holds up this burst's delivery but does not occupy the poll
+    /// loop for later bursts). Returns that handoff instant. The clock is
+    /// what bounds the poller at `1/RX_POLL_COST` packets per second
+    /// machine-wide. The burst's *observed* per-packet cost, stall
+    /// included, is folded back into the ring's estimate by an integer
+    /// EWMA with a 1/8 gain, so sustained perturbation raises the
+    /// per-packet figure admission control charges for NIC-side delay.
+    /// With `extra` zero the sample equals the nominal cost and nothing
+    /// drifts.
     pub fn poller_admit_on(&mut self, now: Nanos, ring: usize, n: usize, extra: Nanos) -> Nanos {
         let start = now.max(self.poller_free_at);
         let done = start + RX_POLL_COST * n as u64;
@@ -418,36 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn hashed_burst_matches_singles() {
-        let mut burst = nic(2, 6);
-        let mut singles = nic(2, 6);
-        let hash = burst.hasher().hash_flow(1, 2, 3, 4);
-        let t = Nanos(42);
-        // 9 packets into a 6-slot ring: 6 accepted, 3 tail-dropped.
-        let (ring, accepted) = burst.enqueue_hashed_burst(t, hash, 0..9u64);
-        let mut accepted_singles = 0;
-        let mut ring_singles = 0;
-        for p in 0..9u64 {
-            match singles.enqueue_hashed(t, hash, p) {
-                Ok(r) => {
-                    ring_singles = r;
-                    accepted_singles += 1;
-                }
-                Err(r) => ring_singles = r,
-            }
-        }
-        assert_eq!((ring, accepted), (ring_singles, accepted_singles));
-        assert_eq!(accepted, 6);
-        assert_eq!(burst.enqueued, singles.enqueued);
-        assert_eq!(burst.drops(ring), singles.drops(ring));
-        assert_eq!(burst.drops(ring), 3);
-        // Shared arrival stamp on every packet of the burst, FIFO order.
-        let (mut out, mut shed) = (Vec::new(), Vec::new());
-        burst.drain(Nanos(100), ring, 16, &mut out, &mut shed);
-        assert_eq!(out, (0..6u64).map(|p| (t, p)).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn full_ring_tail_drops_and_reports_the_ring() {
         let mut n = nic(1, 2);
         let t = Nanos::ZERO;
@@ -549,14 +491,17 @@ mod tests {
     fn poller_clock_serializes_bursts() {
         let mut n = nic(1, 16);
         // First burst of 4 from t=0: done at 4 * RX_POLL_COST.
-        let d1 = n.poller_admit(Nanos::ZERO, 4);
+        let d1 = n.poller_admit_on(Nanos::ZERO, 0, 4, Nanos::ZERO);
         assert_eq!(d1, RX_POLL_COST * 4);
         // A burst requested at an earlier time still queues behind it.
-        let d2 = n.poller_admit(Nanos(10), 2);
+        let d2 = n.poller_admit_on(Nanos(10), 0, 2, Nanos::ZERO);
         assert_eq!(d2, d1 + RX_POLL_COST * 2);
         // After the poller goes idle, the clock restarts at `now`.
         let late = d2 + Nanos::from_us(5);
-        assert_eq!(n.poller_admit(late, 1), late + RX_POLL_COST);
+        assert_eq!(
+            n.poller_admit_on(late, 0, 1, Nanos::ZERO),
+            late + RX_POLL_COST
+        );
     }
 
     #[test]
@@ -564,15 +509,15 @@ mod tests {
         let mut n = nic(2, 16);
         assert_eq!(n.poll_cost(0), RX_POLL_COST);
         // With no extra stall the sample equals the estimate, the
-        // estimate never drifts, and the clock matches the fixed-cost
-        // variant burst for burst.
-        let mut fixed = nic(2, 16);
+        // estimate never drifts, and the clock charges the nominal cost
+        // burst for burst across both rings.
+        let mut free_at = Nanos::ZERO;
         let mut now = Nanos::ZERO;
         for i in 0..50usize {
             let k = 1 + i % 7;
             let a = n.poller_admit_on(now, i % 2, k, Nanos::ZERO);
-            let b = fixed.poller_admit(now, k);
-            assert_eq!(a, b, "burst {i} diverged");
+            free_at = now.max(free_at) + RX_POLL_COST * k as u64;
+            assert_eq!(a, free_at, "burst {i} diverged");
             now += Nanos(130);
         }
         assert_eq!(n.poll_cost(0), RX_POLL_COST);

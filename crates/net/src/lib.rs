@@ -18,7 +18,7 @@
 //! * [`nic`] — per-packet cost constants for the DPDK RX/TX path.
 //! * [`loadgen`] — the open-loop Poisson client of §5.3, plus (behind the
 //!   `overload` feature) the retrying client: per-attempt timeouts,
-//!   decorrelated-jitter backoff, and the global retry budget.
+//!   decorrelated-jitter backoff, and the retry budgets.
 //! * [`overload`] (feature `overload`, default-on) — CoDel AQM on the RX
 //!   rings and deadline-aware admission: shed early and cheap at the
 //!   polling core instead of late and expensive at the client timeout.

@@ -10,6 +10,8 @@ use skyloft_sim::rng::PoissonArrivals;
 use skyloft_sim::{Distribution, Nanos, Rng};
 
 use crate::nic::LossModel;
+#[cfg(feature = "overload")]
+use crate::overload::{class_slot, MAX_CLASSES};
 
 /// Client-side network behavior for a load-generation run: what the wire
 /// does to request datagrams, and when the client gives up on a response.
@@ -81,11 +83,6 @@ impl OpenLoop {
             rng: Rng::seed_from_u64(seed),
             now: Nanos::ZERO,
         }
-    }
-
-    /// The mean service time of the configured distribution.
-    pub fn mean_service(&self) -> f64 {
-        self.service.mean()
     }
 
     /// Collects the full request schedule for a run of `duration`:
@@ -212,58 +209,58 @@ impl RetryBudget {
     }
 }
 
-/// Per-class retry budgets: one [`RetryBudget`] token bucket per SLO
-/// class, so a batch tenant's timeout storm cannot drain the retry
-/// capacity a latency-critical tenant was provisioned (the multi-tenant
-/// generalization of the single global bucket).
+/// The retrying client's budgets: either one [`RetryBudget`] that every
+/// class draws from, or one per SLO class, so a batch tenant's timeout
+/// storm cannot drain the retry capacity a latency-critical tenant was
+/// provisioned.
 ///
-/// Each class accrues budget only from *its own* original requests, at
-/// its own permille rate — the `retry_frac` of the application's
-/// registered SLO class (`SloClass` in `skyloft-core`). Classes left at
-/// the default inherit the policy-wide `budget_permille`, so a
-/// single-class run through this type is behaviorally identical to one
-/// `RetryBudget`.
+/// A per-class bucket accrues budget only from *its own* class's
+/// original requests, at its own permille rate — the `retry_frac` of the
+/// application's registered SLO class (`SloClass` in `skyloft-core`).
 #[cfg(feature = "overload")]
 #[derive(Clone, Debug)]
 pub struct ClassRetryBudgets {
-    buckets: [RetryBudget; crate::overload::MAX_CLASSES],
+    /// One shared bucket, or one per class slot.
+    buckets: Vec<RetryBudget>,
 }
 
 #[cfg(feature = "overload")]
 impl ClassRetryBudgets {
-    /// Buckets all filling at `permille` with burst `burst` (the
-    /// single-class baseline); scale individual classes afterwards with
-    /// [`ClassRetryBudgets::set_class`].
-    pub fn new(permille: u32, burst: u32) -> Self {
-        ClassRetryBudgets {
-            buckets: core::array::from_fn(|_| RetryBudget::new(permille, burst)),
-        }
+    /// Budgets holding at most `burst` whole tokens each. With `fracs`
+    /// unset, one bucket filling at `permille` serves every class (a
+    /// single tenant's GETs and SETs share one budget). With `fracs` set,
+    /// each class gets its own bucket filling at `fracs[c]`, or at
+    /// `permille` where that entry is `None`.
+    pub fn new(permille: u32, burst: u32, fracs: Option<[Option<u32>; MAX_CLASSES]>) -> Self {
+        let buckets = match fracs {
+            None => vec![RetryBudget::new(permille, burst)],
+            Some(fracs) => fracs
+                .iter()
+                .map(|frac| RetryBudget::new(frac.unwrap_or(permille), burst))
+                .collect(),
+        };
+        ClassRetryBudgets { buckets }
     }
 
-    /// Re-provisions one class's bucket to fill at `permille` (its SLO
-    /// class's `retry_frac`). Resets that bucket's accrual and spend.
-    pub fn set_class(&mut self, class: u8, permille: u32, burst: u32) {
-        self.buckets[crate::overload::class_slot(class)] = RetryBudget::new(permille, burst);
+    /// Index of the bucket `class` draws from.
+    fn slot(&self, class: u8) -> usize {
+        if self.buckets.len() == 1 {
+            0
+        } else {
+            class_slot(class)
+        }
     }
 
     /// Accrues budget for one original (non-retry) request of `class`.
     pub fn on_request(&mut self, class: u8) {
-        self.buckets[crate::overload::class_slot(class)].on_request();
+        let i = self.slot(class);
+        self.buckets[i].on_request();
     }
 
-    /// Attempts to spend one retry token from `class`'s own bucket.
+    /// Attempts to spend one retry token from `class`'s bucket.
     pub fn try_spend(&mut self, class: u8) -> bool {
-        self.buckets[crate::overload::class_slot(class)].try_spend()
-    }
-
-    /// Retries spent by `class` so far.
-    pub fn spent(&self, class: u8) -> u64 {
-        self.buckets[crate::overload::class_slot(class)].spent()
-    }
-
-    /// Retries spent across all classes.
-    pub fn spent_total(&self) -> u64 {
-        self.buckets.iter().map(|b| b.spent()).sum()
+        let i = self.slot(class);
+        self.buckets[i].try_spend()
     }
 }
 
@@ -301,11 +298,6 @@ impl Backoff {
         let d = d.min(self.cap.0);
         self.prev = Nanos(d);
         Nanos(d)
-    }
-
-    /// Resets the sequence to its floor (a fresh request's first retry).
-    pub fn reset(&mut self) {
-        self.prev = self.base;
     }
 }
 
@@ -451,10 +443,11 @@ mod tests {
     #[cfg(feature = "overload")]
     #[test]
     fn class_budgets_are_isolated_and_scaled() {
-        let mut b = ClassRetryBudgets::new(100, 2);
-        // Class 1 is a batch tenant provisioned at 20‰ with no burst
-        // headroom beyond one token.
-        b.set_class(1, 20, 1);
+        // Class 1 is a batch tenant provisioned at 20‰; class 0 inherits
+        // the 100‰ default.
+        let mut fracs = [None; MAX_CLASSES];
+        fracs[1] = Some(20);
+        let mut b = ClassRetryBudgets::new(100, 2, Some(fracs));
         let mut granted = [0u64; 2];
         for _ in 0..1000 {
             for class in 0..2u8 {
@@ -467,23 +460,32 @@ mod tests {
         // Class 0 keeps its full 10% budget even while class 1 hammers
         // its own bucket dry; class 1 is capped by its 2% fill.
         assert!(granted[0] >= 90 && granted[0] <= 102, "{granted:?}");
-        assert!(granted[1] <= 21, "{granted:?}");
-        assert_eq!(b.spent(0), granted[0]);
-        assert_eq!(b.spent(1), granted[1]);
-        assert_eq!(b.spent_total(), granted[0] + granted[1]);
+        assert!(granted[1] <= 22, "{granted:?}");
+    }
+
+    #[cfg(feature = "overload")]
+    #[test]
+    fn shared_budget_pools_every_class() {
+        let mut b = ClassRetryBudgets::new(1000, 4, None);
+        // Class 0's requests fund class 1's retries: one bucket.
+        b.on_request(0);
+        b.on_request(0);
+        assert!(b.try_spend(1));
+        assert!(b.try_spend(3));
+        assert!(!b.try_spend(0));
     }
 
     #[cfg(feature = "overload")]
     #[test]
     fn class_budgets_share_slot_for_out_of_range_classes() {
-        use crate::overload::{class_slot, MAX_CLASSES};
-        let mut b = ClassRetryBudgets::new(1000, 4);
+        let mut b = ClassRetryBudgets::new(1000, 4, Some([None; MAX_CLASSES]));
         // Classes beyond the table clamp to the last slot and therefore
         // share one bucket.
         assert_eq!(class_slot(9), MAX_CLASSES - 1);
         b.on_request(9);
         assert!(b.try_spend(200));
-        assert_eq!(b.spent(MAX_CLASSES as u8 - 1), 1);
+        assert!(!b.try_spend(MAX_CLASSES as u8 - 1), "one token, spent");
+        assert!(!b.try_spend(0), "class 0 has its own, empty bucket");
     }
 
     #[cfg(feature = "overload")]
@@ -503,8 +505,6 @@ mod tests {
         }
         // With 50 draws the sequence has explored well past the floor.
         assert!(prev_max > base * 2, "backoff never grew: max {prev_max:?}");
-        bo.reset();
-        assert!(bo.next_delay() < base * 3 + Nanos(1), "reset did not floor");
     }
 
     #[cfg(feature = "overload")]

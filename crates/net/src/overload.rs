@@ -101,11 +101,6 @@ impl Codel {
         }
     }
 
-    /// The law parameters.
-    pub fn cfg(&self) -> CodelConfig {
-        self.cfg
-    }
-
     /// Whether the controller is currently in the dropping state.
     pub fn dropping(&self) -> bool {
         self.dropping
@@ -176,10 +171,9 @@ pub struct AdmissionConfig {
     /// Seed value of the service estimate before any observation.
     pub init_service: Nanos,
     /// Per-class SLO overrides: a request of class `c` is shed against
-    /// `class_slo[class_slot(c)]` when set. All `None` (the default)
-    /// keeps the controller in single-class mode — the legacy
-    /// [`AdmissionCtl::observe`]/[`AdmissionCtl::should_shed`] paths are
-    /// untouched, so existing single-app configs behave bit-identically.
+    /// `class_slo[class_slot(c)]` when set. Setting any entry selects the
+    /// cross-class law (see [`AdmissionCtl`]); all `None` (the default)
+    /// keeps the single-SLO law.
     pub class_slo: [Option<Nanos>; MAX_CLASSES],
 }
 
@@ -196,21 +190,32 @@ impl Default for AdmissionConfig {
 
 /// Deadline-aware admission controller: an integer EWMA of observed
 /// per-request service (worker-side, stack overhead included) plus the
-/// shed decision `now + (backlog+1) × estimate > sent + SLO`.
+/// shed decision "the predicted finish already misses the deadline".
 ///
-/// In multi-tenant mode (any `class_slo` entry set) the controller keeps
-/// *per-class* cost and backlog estimates alongside the legacy global
-/// ones: a 5 ms batch request must not inflate the service estimate a
-/// 200 µs LC request is judged by, and each class is shed against its
-/// own deadline, never a blended one.
+/// The configuration picks one of two laws, once, at construction:
+///
+/// * **Single-SLO** (no `class_slo` entry set): one service estimate,
+///   one deadline, and the caller's count of requests ahead on the
+///   request's worker.
+/// * **Cross-class** (any `class_slo` entry set): per-class cost and
+///   backlog estimates, so a 5 ms batch request cannot inflate the
+///   service estimate a 200 µs LC request is judged by, and each class
+///   is shed against its own deadline, never a blended one.
+///
+/// Callers drive both laws through the same three calls:
+/// [`AdmissionCtl::resync_backlog`] once per poll round,
+/// [`AdmissionCtl::should_shed`] per request, and
+/// [`AdmissionCtl::observe`] per admitted request.
 #[derive(Clone, Debug)]
 pub struct AdmissionCtl {
     cfg: AdmissionConfig,
-    est: Nanos,
-    /// Per-class service estimates (integer EWMA, same law as `est`).
-    class_est: [Nanos; MAX_CLASSES],
-    /// Per-class admitted-but-unfinished counts, maintained via
-    /// [`AdmissionCtl::note_admitted`]/[`AdmissionCtl::note_done`].
+    /// Whether the cross-class law is in force (any `class_slo` set).
+    classed: bool,
+    /// Service estimates (integer EWMA) per class slot; the single-SLO
+    /// law keeps one, in slot 0.
+    est: [Nanos; MAX_CLASSES],
+    /// Per-class admitted-but-unfinished counts per worker: resynced
+    /// each poll round, grown by every admit in between.
     class_backlog: [u64; MAX_CLASSES],
 }
 
@@ -218,103 +223,87 @@ impl AdmissionCtl {
     /// A controller seeded at `cfg.init_service`.
     pub fn new(cfg: AdmissionConfig) -> Self {
         AdmissionCtl {
-            est: cfg.init_service,
-            class_est: [cfg.init_service; MAX_CLASSES],
+            classed: cfg.class_slo.iter().any(Option::is_some),
+            est: [cfg.init_service; MAX_CLASSES],
             class_backlog: [0; MAX_CLASSES],
             cfg,
         }
     }
 
-    /// The configuration.
-    pub fn cfg(&self) -> AdmissionConfig {
-        self.cfg
+    /// The estimate slot `class` is judged by: its own under the
+    /// cross-class law, the shared slot 0 otherwise.
+    fn slot(&self, class: u8) -> usize {
+        if self.classed {
+            class_slot(class)
+        } else {
+            0
+        }
     }
 
-    /// The current service estimate.
-    pub fn estimate(&self) -> Nanos {
-        self.est
+    /// The service estimate a request of `class` is judged by.
+    pub fn estimate(&self, class: u8) -> Nanos {
+        self.est[self.slot(class)]
     }
 
-    /// Whether any per-class SLO is registered (multi-tenant mode).
-    pub fn has_classes(&self) -> bool {
-        self.cfg.class_slo.iter().any(Option::is_some)
-    }
-
-    /// The registered deadline for one class (`None` when unregistered).
+    /// The registered deadline for one class (`None` when unregistered,
+    /// and always under the single-SLO law).
     pub fn class_slo(&self, class: u8) -> Option<Nanos> {
         self.cfg.class_slo[class_slot(class)]
     }
 
-    /// The current service estimate for one class.
-    pub fn class_estimate(&self, class: u8) -> Nanos {
-        self.class_est[class_slot(class)]
-    }
-
-    /// The tracked backlog (admitted, not yet finished) for one class.
-    pub fn class_backlog(&self, class: u8) -> u64 {
-        self.class_backlog[class_slot(class)]
-    }
-
-    /// Folds one observed per-request service time into the estimate.
-    pub fn observe(&mut self, service: Nanos) {
-        let shift = self.cfg.ewma_shift;
-        let est = self.est.0 as i128;
+    /// Records one admitted request of `class` whose marginal cost was
+    /// `service`: folds it into the service estimates and, under the
+    /// cross-class law, counts it toward its class's backlog until the
+    /// next [`AdmissionCtl::resync_backlog`].
+    pub fn observe(&mut self, class: u8, service: Nanos) {
+        let slot = self.slot(class);
+        let est = self.est[slot].0 as i128;
         let delta = service.0 as i128 - est;
-        self.est = Nanos((est + (delta >> shift)) as u64);
+        self.est[slot] = Nanos((est + (delta >> self.cfg.ewma_shift)) as u64);
+        if self.classed {
+            self.class_backlog[slot] += 1;
+        }
     }
 
-    /// Folds one observed service time into `class`'s estimate (and the
-    /// global one, so single-class probes keep working under tenancy).
-    pub fn observe_class(&mut self, class: u8, service: Nanos) {
-        self.observe(service);
-        let shift = self.cfg.ewma_shift;
-        let slot = class_slot(class);
-        let est = self.class_est[slot].0 as i128;
-        let delta = service.0 as i128 - est;
-        self.class_est[slot] = Nanos((est + (delta >> shift)) as u64);
+    /// Resets each class's backlog to ground truth, once per poll round:
+    /// `in_service(c)` is how many class-`c` requests were handed to
+    /// workers and have neither completed nor been shed. It is divided
+    /// by the worker count, because the law predicts a single queue
+    /// draining at the class's per-request estimate while the machine
+    /// drains RSS-spread backlog on all workers in parallel. A no-op
+    /// under the single-SLO law, which takes its backlog per request.
+    pub fn resync_backlog(&mut self, workers: usize, in_service: impl Fn(usize) -> u64) {
+        if !self.classed {
+            return;
+        }
+        let workers = workers.max(1) as u64;
+        for (c, backlog) in self.class_backlog.iter_mut().enumerate() {
+            *backlog = in_service(c) / workers;
+        }
     }
 
-    /// Counts one admitted request of `class` toward its backlog.
-    pub fn note_admitted(&mut self, class: u8) {
-        self.class_backlog[class_slot(class)] += 1;
-    }
-
-    /// Retires one request of `class` from its backlog (delivered, timed
-    /// out, or shed downstream — anything that stops occupying a worker).
-    pub fn note_done(&mut self, class: u8) {
-        let slot = class_slot(class);
-        self.class_backlog[slot] = self.class_backlog[slot].saturating_sub(1);
-    }
-
-    /// Overwrites one class's backlog with an externally computed ground
-    /// truth. Callers that can see both sides of the worker (the poller
-    /// reads delivered and completed counters each round) resync with
-    /// this instead of pairing every `note_admitted` with a `note_done`,
-    /// which would require a completion callback they don't have.
-    pub fn set_class_backlog(&mut self, class: u8, backlog: u64) {
-        self.class_backlog[class_slot(class)] = backlog;
-    }
-
-    /// Whether to shed a request sent at `sent`, examined at `now` with
-    /// `backlog` requests already ahead of it on its worker: shed when
-    /// even an optimistic finish time (backlog drains at the estimated
-    /// rate, then this request runs) already misses `sent + slo`.
-    pub fn should_shed(&self, now: Nanos, sent: Nanos, backlog: usize) -> bool {
-        let finish = now + Nanos(self.est.0.saturating_mul(backlog as u64 + 1));
-        finish > sent + self.cfg.slo
-    }
-
-    /// Per-class shed decision: the same finish-time argument, but
-    /// judged against `class`'s own deadline (falling back to the global
-    /// `slo` for unregistered classes). The work-ahead term spans
-    /// *every* class — the data plane hands all admitted requests to the
-    /// same runqueues, so a tight-class arrival drains behind the
-    /// loose-class backlog too; modeling only the request's own class
-    /// would admit 200 µs requests into a multi-millisecond batch queue
-    /// and deliver them all late. Per-class cost estimates keep the sum
-    /// honest (60 queued batch requests cost 60 × 50 µs, not 60 × a
-    /// blended mean).
-    pub fn should_shed_class(&self, class: u8, now: Nanos, sent: Nanos) -> bool {
+    /// Whether to shed a request of `class` sent at `sent` and examined
+    /// at `now`: shed when even an optimistic finish time already misses
+    /// its deadline.
+    ///
+    /// Under the single-SLO law the finish is `now + (backlog + 1) ×
+    /// estimate`, with `backlog` the requests already ahead of it on its
+    /// worker, against `sent + slo`.
+    ///
+    /// Under the cross-class law `backlog` is unused: the request is
+    /// judged against its class's own deadline (the global `slo` for an
+    /// unregistered class), and the work ahead spans *every* class — the
+    /// data plane hands all admitted requests to the same runqueues, so
+    /// a tight-class arrival drains behind the loose-class backlog too;
+    /// modeling only its own class would admit 200 µs requests into a
+    /// multi-millisecond batch queue and deliver them all late.
+    /// Per-class cost estimates keep the sum honest (60 queued batch
+    /// requests cost 60 × 50 µs, not 60 × a blended mean).
+    pub fn should_shed(&self, class: u8, now: Nanos, sent: Nanos, backlog: usize) -> bool {
+        if !self.classed {
+            let finish = now + Nanos(self.est[0].0.saturating_mul(backlog as u64 + 1));
+            return finish > sent + self.cfg.slo;
+        }
         let slot = class_slot(class);
         let slo = self.cfg.class_slo[slot].unwrap_or(self.cfg.slo);
         let mut ahead = 0u64;
@@ -325,14 +314,14 @@ impl AdmissionCtl {
         // neighbour.
         let mut tightest = slo;
         for c in 0..MAX_CLASSES {
-            ahead = ahead.saturating_add(self.class_est[c].0.saturating_mul(self.class_backlog[c]));
+            ahead = ahead.saturating_add(self.est[c].0.saturating_mul(self.class_backlog[c]));
             if self.class_backlog[c] > 0 {
                 if let Some(s) = self.cfg.class_slo[c] {
                     tightest = tightest.min(s);
                 }
             }
         }
-        let work = ahead.saturating_add(self.class_est[slot].0);
+        let work = ahead.saturating_add(self.est[slot].0);
         if now + Nanos(work) > sent + slo {
             return true;
         }
@@ -428,9 +417,9 @@ mod tests {
             ..AdmissionConfig::default()
         });
         for _ in 0..200 {
-            a.observe(Nanos::from_us(6));
+            a.observe(0, Nanos::from_us(6));
         }
-        let est = a.estimate();
+        let est = a.estimate(0);
         assert!(
             (Nanos::from_us(5)..=Nanos::from_us(7)).contains(&est),
             "estimate {est:?} did not converge to ~6µs"
@@ -439,20 +428,33 @@ mod tests {
 
     #[test]
     fn admission_sheds_only_doomed_requests() {
-        let a = AdmissionCtl::new(AdmissionConfig {
-            slo: Nanos::from_us(200),
-            ewma_shift: 3,
-            init_service: Nanos::from_us(2),
-            class_slo: [None; MAX_CLASSES],
-        });
+        let a = AdmissionCtl::new(AdmissionConfig::default());
         let sent = Nanos::from_ms(1);
         // Fresh request, empty worker: plenty of budget left.
-        assert!(!a.should_shed(sent + Nanos::from_us(10), sent, 0));
+        assert!(!a.should_shed(0, sent + Nanos::from_us(10), sent, 0));
         // Same age but 120 requests ahead at ~2µs each = 242µs to go:
         // already past the 200µs budget.
-        assert!(a.should_shed(sent + Nanos::from_us(10), sent, 120));
+        assert!(a.should_shed(0, sent + Nanos::from_us(10), sent, 120));
         // Old request: even an empty worker cannot save it.
-        assert!(a.should_shed(sent + Nanos::from_us(199), sent, 1));
+        assert!(a.should_shed(0, sent + Nanos::from_us(199), sent, 1));
+    }
+
+    #[test]
+    fn single_slo_law_shares_one_estimate_across_classes() {
+        let mut a = AdmissionCtl::new(AdmissionConfig::default());
+        for _ in 0..200 {
+            a.observe(1, Nanos::from_us(50));
+        }
+        // Class 1's samples moved the one shared estimate, so a class-0
+        // request is judged by it too, with the caller's backlog.
+        assert_eq!(a.estimate(0), a.estimate(1));
+        assert!(a.estimate(0) > Nanos::from_us(40));
+        let sent = Nanos::from_ms(1);
+        assert!(!a.should_shed(0, sent, sent, 2));
+        assert!(a.should_shed(0, sent, sent, 4));
+        // A backlog resync is a no-op: the per-request backlog governs.
+        a.resync_backlog(1, |_| 1_000);
+        assert!(!a.should_shed(0, sent, sent, 2));
     }
 
     fn classed() -> AdmissionConfig {
@@ -460,97 +462,94 @@ mod tests {
         class_slo[0] = Some(Nanos::from_us(200)); // LC
         class_slo[1] = Some(Nanos::from_ms(5)); // batch
         AdmissionConfig {
-            slo: Nanos::from_us(200),
-            ewma_shift: 3,
-            init_service: Nanos::from_us(2),
             class_slo,
+            ..AdmissionConfig::default()
         }
+    }
+
+    /// A classed controller whose LC and batch estimates sit near 2 µs
+    /// and 50 µs, with the per-worker backlogs `[lc, batch]`.
+    fn warmed(backlog: [u64; 2]) -> AdmissionCtl {
+        let mut a = AdmissionCtl::new(classed());
+        for _ in 0..200 {
+            a.observe(0, Nanos::from_us(2));
+            a.observe(1, Nanos::from_us(50));
+        }
+        a.resync_backlog(1, |c| backlog.get(c).copied().unwrap_or(0));
+        a
     }
 
     #[test]
     fn per_class_shed_uses_own_deadline() {
         let mut a = AdmissionCtl::new(classed());
-        assert!(a.has_classes());
         // 60 queued batch requests ≈ 122 µs to drain at the 2 µs initial
         // estimate.
-        for _ in 0..60 {
-            a.note_admitted(1);
-        }
+        a.resync_backlog(1, |c| if c == 1 { 60 } else { 0 });
         let sent = Nanos::from_ms(1);
         let now = sent + Nanos::from_us(150);
         // The 200 µs LC request is doomed; the 5 ms batch one is fine.
-        assert!(a.should_shed_class(0, now, sent));
-        assert!(!a.should_shed_class(1, now, sent));
+        // The per-request backlog argument plays no part in this law.
+        assert!(a.should_shed(0, now, sent, 0));
+        assert!(!a.should_shed(1, now, sent, 1_000));
     }
 
     #[test]
     fn live_tight_class_caps_loose_admits() {
-        let mut a = AdmissionCtl::new(classed());
-        for _ in 0..200 {
-            a.observe_class(1, Nanos::from_us(50));
-        }
         // ~4 batch requests (~200 µs) queued: well inside batch's own
         // 5 ms budget, so with no tighter class in flight it is admitted.
-        for _ in 0..4 {
-            a.note_admitted(1);
-        }
         let sent = Nanos::from_ms(1);
         let now = sent + Nanos::from_us(10);
-        assert!(!a.should_shed_class(1, now, sent));
+        assert!(!warmed([0, 4]).should_shed(1, now, sent, 0));
         // One LC request in flight makes the 200 µs class live: the
-        // shared queue is now capped at half that deadline, and the same
-        // batch request sheds.
-        a.note_admitted(0);
-        assert!(a.should_shed_class(1, now, sent));
+        // shared queue is now capped at a quarter of that deadline, and
+        // the same batch request sheds.
+        assert!(warmed([1, 4]).should_shed(1, now, sent, 0));
     }
 
     #[test]
     fn per_class_estimates_are_independent() {
-        let mut a = AdmissionCtl::new(classed());
-        for _ in 0..200 {
-            a.observe_class(0, Nanos::from_us(2));
-            a.observe_class(1, Nanos::from_us(50));
-        }
-        assert!(a.class_estimate(0) < Nanos::from_us(4));
-        assert!(a.class_estimate(1) > Nanos::from_us(40));
+        let a = warmed([0, 0]);
+        assert!(a.estimate(0) < Nanos::from_us(4));
+        assert!(a.estimate(1) > Nanos::from_us(40));
         // A batch-heavy tail must not poison the LC estimate: a fresh LC
         // request with an empty LC backlog survives even while class 1's
         // estimate sits at ~50 µs.
         let sent = Nanos::from_ms(1);
-        assert!(!a.should_shed_class(0, sent + Nanos::from_us(10), sent));
+        assert!(!a.should_shed(0, sent + Nanos::from_us(10), sent, 0));
     }
 
     #[test]
     fn cross_class_backlog_counts_against_a_tight_deadline() {
-        let mut a = AdmissionCtl::new(classed());
-        for _ in 0..200 {
-            a.observe_class(0, Nanos::from_us(2));
-            a.observe_class(1, Nanos::from_us(50));
-        }
         // No LC backlog at all, but ~6 batch requests (~300 µs of work)
         // queued ahead in the shared runqueues: a fresh 200 µs request
         // cannot make it and must shed; the batch class itself has 5 ms
         // of budget and sails through.
-        for _ in 0..6 {
-            a.note_admitted(1);
-        }
+        let a = warmed([0, 6]);
         let sent = Nanos::from_ms(1);
-        assert!(a.should_shed_class(0, sent + Nanos::from_us(10), sent));
-        assert!(!a.should_shed_class(1, sent + Nanos::from_us(10), sent));
+        assert!(a.should_shed(0, sent + Nanos::from_us(10), sent, 0));
+        assert!(!a.should_shed(1, sent + Nanos::from_us(10), sent, 0));
     }
 
     #[test]
-    fn per_class_backlog_tracks_admit_and_done() {
+    fn backlog_resyncs_per_worker_and_grows_with_admits() {
         let mut a = AdmissionCtl::new(classed());
-        a.note_admitted(2);
-        a.note_admitted(2);
-        a.note_done(2);
-        assert_eq!(a.class_backlog(2), 1);
-        a.note_done(2);
-        a.note_done(2); // extra retire saturates at zero
-        assert_eq!(a.class_backlog(2), 0);
+        let sent = Nanos::from_ms(1);
+        let now = sent + Nanos::from_us(1);
+        // 400 LC requests in service at the 2 µs seed estimate: spread
+        // over 4 workers that is 200 µs of queue per worker (doomed),
+        // over 8 workers 100 µs (admitted).
+        a.resync_backlog(4, |c| if c == 0 { 400 } else { 0 });
+        assert!(a.should_shed(0, now, sent, 0));
+        a.resync_backlog(8, |c| if c == 0 { 400 } else { 0 });
+        assert!(!a.should_shed(0, now, sent, 0));
+        // Each admit between resyncs counts toward its class's backlog:
+        // 49 more LC admits bring the queue to 198 µs of work.
+        for _ in 0..49 {
+            a.observe(0, Nanos::from_us(2));
+        }
+        assert!(a.should_shed(0, now, sent, 0));
         // Classes past the last slot share it.
-        a.note_admitted(9);
-        assert_eq!(a.class_backlog(3), 1);
+        a.resync_backlog(1, |c| if c == MAX_CLASSES - 1 { 1_000 } else { 0 });
+        assert!(a.should_shed(9, now, sent, 0));
     }
 }

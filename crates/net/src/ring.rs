@@ -43,26 +43,6 @@ impl<T> Ring<T> {
         true
     }
 
-    /// Enqueues a burst in order, filling the ring to capacity: returns
-    /// how many items were accepted; the remainder tail-drop (counted),
-    /// exactly as repeated [`Ring::push`] would decide. One capacity
-    /// computation and one `VecDeque` bulk extend serve the whole burst —
-    /// the DMA-engine analogue of writing descriptors until the ring is
-    /// full.
-    pub fn enqueue_burst<I>(&mut self, items: I) -> usize
-    where
-        I: IntoIterator<Item = T>,
-    {
-        let mut items = items.into_iter();
-        let room = self.capacity - self.buf.len();
-        let before = self.buf.len();
-        self.buf.extend(items.by_ref().take(room));
-        let accepted = self.buf.len() - before;
-        // Anything still in the iterator found the ring full.
-        self.drops += items.count() as u64;
-        accepted
-    }
-
     /// Dequeues the oldest item.
     pub fn pop(&mut self) -> Option<T> {
         self.buf.pop_front()
@@ -127,54 +107,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         Ring::<u8>::new(0);
-    }
-
-    #[test]
-    fn burst_fills_then_tail_drops() {
-        let mut r = Ring::new(4);
-        assert!(r.push(0));
-        // Room for 3 more; the burst of 5 loses its last 2.
-        assert_eq!(r.enqueue_burst(1..6), 3);
-        assert_eq!(r.drops, 2);
-        assert!(r.is_full());
-        assert_eq!(r.pop(), Some(0));
-        assert_eq!(r.pop(), Some(1));
-        assert_eq!(r.pop(), Some(2));
-        assert_eq!(r.pop(), Some(3));
-        assert_eq!(r.pop(), None);
-    }
-
-    #[test]
-    fn burst_matches_repeated_push() {
-        // Same decisions as a singles loop across every fill level.
-        for preload in 0..=4usize {
-            let mut burst = Ring::new(4);
-            let mut singles = Ring::new(4);
-            for i in 0..preload as u32 {
-                burst.push(i);
-                singles.push(i);
-            }
-            let accepted = burst.enqueue_burst(100..107);
-            let mut accepted_singles = 0;
-            for v in 100..107 {
-                if singles.push(v) {
-                    accepted_singles += 1;
-                }
-            }
-            assert_eq!(accepted, accepted_singles);
-            assert_eq!(burst.drops, singles.drops);
-            while let Some(a) = burst.pop() {
-                assert_eq!(Some(a), singles.pop());
-            }
-            assert!(singles.is_empty());
-        }
-    }
-
-    #[test]
-    fn empty_burst_is_noop() {
-        let mut r = Ring::new(2);
-        assert_eq!(r.enqueue_burst(std::iter::empty::<u8>()), 0);
-        assert_eq!(r.drops, 0);
-        assert!(r.is_empty());
     }
 }

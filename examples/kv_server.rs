@@ -15,7 +15,7 @@ use bytes::Bytes;
 use skyloft::machine::{AppKind, Machine, MachineConfig};
 use skyloft::Platform;
 use skyloft_apps::rocksdb::{bimodal_distribution, bimodal_threshold, SortedStore};
-use skyloft_apps::synthetic::{install_open_loop, Placement};
+use skyloft_apps::synthetic::{install_open_loop_net, Placement};
 use skyloft_hw::Topology;
 use skyloft_net::loadgen::OpenLoop;
 use skyloft_net::packet::{KvOp, KvRequest};
@@ -39,12 +39,13 @@ fn run(quantum: Option<Nanos>) -> (f64, f64) {
     let mut q = EventQueue::new();
     m.start(&mut q);
     let gen = OpenLoop::new(RATE, bimodal_distribution(), bimodal_threshold(), 5);
-    install_open_loop(
+    install_open_loop_net(
         &mut q,
         gen,
         0,
         Placement::Rss { n: WORKERS },
         Nanos::from_secs(1),
+        None,
     );
     m.run(&mut q, Nanos::from_secs(1) + Nanos::from_ms(50));
     let p999_slowdown = m.stats.slowdown_hist.percentile(99.9) as f64 / 1000.0;

@@ -5,7 +5,7 @@
 
 use skyloft::machine::{AppKind, Call, Event, Machine, MachineConfig};
 use skyloft::{CoreAllocConfig, FaultPlan, Platform, RecoveryConfig};
-use skyloft_apps::synthetic::{dispersive, dispersive_threshold, install_open_loop, Placement};
+use skyloft_apps::synthetic::{dispersive, dispersive_threshold, install_open_loop_net, Placement};
 use skyloft_hw::Topology;
 use skyloft_net::OpenLoop;
 use skyloft_policies::{RoundRobin, Shinjuku, WorkStealing};
@@ -226,7 +226,7 @@ fn dispersive_p99(faulty: bool, recovery_on: bool) -> Nanos {
     let warmup = Nanos::from_ms(10);
     let end = warmup + Nanos::from_ms(40);
     let gen = OpenLoop::new(100_000.0, dispersive(), dispersive_threshold(), 0x0D15);
-    install_open_loop(&mut q, gen, 0, Placement::Queue, end);
+    install_open_loop_net(&mut q, gen, 0, Placement::Queue, end, None);
     m.run(&mut q, warmup);
     m.reset_stats(q.now());
     m.run(&mut q, end);
@@ -272,7 +272,7 @@ fn central_under_faults(apps: usize) -> Machine {
     m.start(&mut q);
     let end = Nanos::from_ms(60);
     let gen = OpenLoop::new(40_000.0, dispersive(), dispersive_threshold(), 0x0D15);
-    install_open_loop(&mut q, gen, 0, Placement::Queue, end);
+    install_open_loop_net(&mut q, gen, 0, Placement::Queue, end, None);
     m.run(&mut q, end + Nanos::from_ms(20));
     // The injector never stops; step on until the fault in flight at the
     // deadline (if any) has resolved, so every block can be matched.
@@ -316,7 +316,7 @@ fn centralized_dispatcher_runs_through_page_faults() {
 mod dataplane_plans {
     use super::*;
     use proptest::prelude::*;
-    use skyloft_apps::synthetic::{install_open_loop_ctl, OverloadControl};
+    use skyloft_apps::synthetic::{install_tenants, OverloadControl, Tenant};
     use skyloft_net::{NetProfile, NicConfig};
 
     proptest! {
@@ -366,7 +366,8 @@ mod dataplane_plans {
             };
             let mut nic = NicConfig::for_workers(3);
             nic.client_timeout = Nanos::from_ms(1);
-            install_open_loop_ctl(&mut q, gen, 0, nic, Nanos::from_ms(4), net, ctl);
+            let tenant = Tenant { gen, app: 0, class: None };
+            install_tenants(&mut q, vec![tenant], nic, Nanos::from_ms(4), net, ctl);
             // Run far past the last timeout + backoff so every attempt
             // resolves: the ledger must balance with nothing in flight.
             m.run(&mut q, Nanos::from_ms(40));
@@ -405,7 +406,6 @@ mod dataplane_plans {
             batch_krps in 10u64..120,
             with_retry in prop::bool::ANY,
         ) {
-            use skyloft_apps::synthetic::{install_tenants, Tenant};
             use skyloft_net::{AdmissionConfig, CodelConfig, RetryPolicy};
 
             let mut plan = FaultPlan::seeded(seed)
@@ -614,7 +614,7 @@ mod random_plans {
                 dispersive_threshold(),
                 seed ^ 0xABCD,
             );
-            install_open_loop(&mut q, gen, 0, Placement::Queue, end);
+            install_open_loop_net(&mut q, gen, 0, Placement::Queue, end, None);
             m.run(&mut q, Nanos::from_ms(12));
             prop_assert!(m.tracer.checker.checks_run() > 0, "checker never ran");
             prop_assert!(m.tracer.checker.violations().is_empty());
