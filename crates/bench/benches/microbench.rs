@@ -32,6 +32,8 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(q.pop());
         });
     });
+    // Runs at steady state: `cancel` unlinks the entry and frees its slot,
+    // so every iteration reuses the same slot and leaves nothing parked.
     c.bench_function("event_queue/schedule_cancel", |b| {
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut t = 0u64;
@@ -39,6 +41,25 @@ fn bench_event_queue(c: &mut Criterion) {
             t += 1;
             let tok = q.schedule(Nanos(t), t);
             black_box(q.cancel(tok));
+        });
+    });
+    // The per-tick `delay_current` pattern: one pending segment end moved
+    // 200 ns later per iteration. Every 100th move lets it fire and arms a
+    // new one, so the clock keeps up with it as in a machine run.
+    c.bench_function("event_queue/reschedule", |b| {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut at = Nanos(200);
+        let mut tok = q.schedule(at, 0);
+        let mut n = 0u64;
+        b.iter(|| {
+            n += 1;
+            at += Nanos(200);
+            tok = q.reschedule(tok, at).expect("pending");
+            if n.is_multiple_of(100) {
+                black_box(q.pop());
+                at += Nanos(200);
+                tok = q.schedule(at, n);
+            }
         });
     });
 }

@@ -2017,9 +2017,9 @@ impl Machine {
         let Some(tok) = c.done_token.take() else {
             return;
         };
-        q.cancel(tok);
         c.seg_end += cost;
-        c.done_token = Some(q.schedule(c.seg_end, Event::SegmentDone { core }));
+        c.done_token = q.reschedule(tok, c.seg_end);
+        debug_assert!(c.done_token.is_some(), "stale segment token");
     }
 
     /// Whether a per-CPU enqueue may target `core` for a task of `app`:

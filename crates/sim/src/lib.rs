@@ -52,8 +52,8 @@ pub fn run_until<S, E>(
 ///
 /// `handle_batch` must drain the batch buffer, redeeming each claim with
 /// [`EventQueue::take_batched`] (which returns `None` for events cancelled
-/// by an earlier handler of the same batch — skip those, exactly as the
-/// serial loop never pops a cancelled event). Events scheduled *by* a
+/// or rescheduled by an earlier handler of the same batch — skip those,
+/// exactly as the serial loop never pops a cancelled event). Events scheduled *by* a
 /// handler at the batch's own timestamp land in a fresh batch on the next
 /// iteration — their `(time, seq)` keys are larger than everything drained,
 /// so the processing order is identical to [`run_until`]'s event-at-a-time

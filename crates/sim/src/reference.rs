@@ -197,24 +197,74 @@ mod differential_tests {
     //! Differential property tests: the timing-wheel
     //! [`crate::EventQueue`] must be observationally identical to this
     //! reference queue under arbitrary interleavings of `schedule`,
-    //! `schedule_after`, `cancel`, `pop`, `pop_before` and `peek_time` —
-    //! same `(time, payload)` stream, same `len`, same clock, same cancel
-    //! results (token semantics included).
+    //! `schedule_after`, `cancel`, `reschedule`, `pop`, `pop_before`,
+    //! `pop_batch` and `peek_time` — same `(time, payload)` stream, same
+    //! `len`, same clock, same cancel results (token semantics included).
+    //! The oracle for `reschedule` is `cancel` + `schedule`.
 
     use super::*;
     use crate::{BatchSlot, EventQueue, Token};
     use proptest::prelude::*;
 
+    /// A reschedule target `delta`-ish after `now`: near enough to land in
+    /// `cur` or level 0, anywhere in the wheel, or in the overflow heap.
+    fn target(now: Nanos, delta: u64, k: usize) -> Nanos {
+        Nanos(
+            now.0
+                + match k % 3 {
+                    0 => delta % 1_024,
+                    1 => delta % 100_000,
+                    _ => delta,
+                },
+        )
+    }
+
+    /// Reschedules payload `p`'s event on both queues and checks they agree
+    /// on whether it was still pending. Returns the moved payload.
+    fn reschedule_both(
+        wheel: &mut EventQueue<u64>,
+        heap: &mut ReferenceQueue<u64>,
+        tokens: &mut [(Token, RefToken)],
+        p: usize,
+        at: Nanos,
+    ) -> Option<u64> {
+        let (tw, th) = tokens[p];
+        let moved = wheel.reschedule(tw, at);
+        let cancelled = heap.cancel(th);
+        prop_assert_eq!(moved.is_some(), cancelled.is_some());
+        if let (Some(nw), Some(payload)) = (moved, cancelled) {
+            prop_assert_eq!(payload, p as u64);
+            tokens[p] = (nw, heap.schedule(at, payload));
+        }
+        cancelled
+    }
+
+    /// Payloads the oracle still holds at exactly `at`, in pop order: the
+    /// rest of a batch whose head was just popped.
+    fn pending_at(heap: &ReferenceQueue<u64>, at: Nanos) -> Vec<u64> {
+        let mut v: Vec<(u64, u64)> = heap
+            .heap
+            .iter()
+            .filter(|Reverse((t, _, _))| *t == at)
+            .filter_map(|Reverse((_, seq, slot))| {
+                heap.slots[*slot as usize].payload.map(|p| (*seq, p))
+            })
+            .collect();
+        v.sort_unstable();
+        v.into_iter().map(|(_, p)| p).collect()
+    }
+
     proptest! {
         #[test]
         fn wheel_matches_reference_heap(
             ops in prop::collection::vec(
-                (0u64..9, 0u64..30_000_000_000, 0usize..1024),
+                (0u64..11, 0u64..30_000_000_000, 0usize..1024),
                 1..250,
             ),
         ) {
             let mut wheel: EventQueue<u64> = EventQueue::new();
             let mut heap: ReferenceQueue<u64> = ReferenceQueue::new();
+            // Indexed by payload: a reschedule replaces its event's entry.
             let mut tokens: Vec<(Token, RefToken)> = Vec::new();
             let mut payload = 0u64;
             let mut claims: Vec<BatchSlot> = Vec::new();
@@ -290,10 +340,61 @@ mod differential_tests {
                         );
                         prop_assert_eq!(&batch_w, &batch_h);
                     }
+                    // Reschedule an arbitrary issued token, possibly
+                    // stale, into `cur`, any wheel level or the overflow.
+                    8 => {
+                        if tokens.is_empty() {
+                            continue;
+                        }
+                        let at = target(wheel.now(), delta, k);
+                        let p = k % tokens.len();
+                        reschedule_both(&mut wheel, &mut heap, &mut tokens, p, at);
+                    }
+                    // A batch whose first handler cancels or reschedules
+                    // another event of the same timestamp, which the wheel
+                    // has already claimed: that claim must redeem `None`,
+                    // exactly as the serial loop never pops the event.
+                    9 => {
+                        let deadline = Nanos(wheel.now().0 + 1 + delta % 1_000_000);
+                        let at_w = wheel.pop_batch(deadline, &mut claims);
+                        let head = heap.pop_before(deadline);
+                        prop_assert_eq!(at_w, head.map(|(t, _)| t));
+                        let Some((at, first)) = head else {
+                            continue;
+                        };
+                        let mut rest = claims.drain(..);
+                        prop_assert_eq!(
+                            wheel.take_batched(rest.next().expect("batch head")),
+                            Some(first)
+                        );
+                        let same = pending_at(&heap, at);
+                        let p = match same.len() {
+                            0 => k % tokens.len(),
+                            n => same[k % n] as usize,
+                        };
+                        let touched = if delta % 2 == 0 {
+                            let (tw, th) = tokens[p];
+                            let cancelled = wheel.cancel(tw);
+                            prop_assert_eq!(cancelled, heap.cancel(th));
+                            cancelled
+                        } else {
+                            let to = target(at, delta / 2, k / 3);
+                            reschedule_both(&mut wheel, &mut heap, &mut tokens, p, to)
+                        };
+                        let want: Vec<u64> =
+                            same.into_iter().filter(|&q| Some(q) != touched).collect();
+                        batch_w.clear();
+                        batch_w.extend(rest.filter_map(|c| wheel.take_batched(c)));
+                        prop_assert_eq!(&batch_w, &want);
+                        for &q in &want {
+                            prop_assert_eq!(heap.pop(), Some((at, q)));
+                        }
+                    }
                     _ => {
                         prop_assert_eq!(wheel.peek_time(), heap.peek_time());
                     }
                 }
+                wheel.assert_garbage_free();
                 prop_assert_eq!(wheel.len(), heap.len());
                 prop_assert_eq!(wheel.now(), heap.now());
             }
