@@ -613,7 +613,7 @@ impl Machine {
         // keep it from being run while its kernel thread is blocked.
         if let Some(t) = stopped {
             if Some(t) != self.cores[core].be_task {
-                self.enqueue_task(q, t, EnqueueFlags::Preempted, None);
+                self.enqueue_task(q, t, EnqueueFlags::Preempted, None, None);
             }
             // A BE spin task stays machine-managed and parked-in-place.
         }
@@ -773,9 +773,7 @@ impl Machine {
             #[cfg(feature = "trace")]
             self.trace_emit(now, Some(target), Some(t), TraceKind::TaskMigrated);
             if self.cores[target].is_idle() {
-                self.cores[target].incoming = true;
-                self.refresh_idle(target);
-                q.schedule_after(self.plat.wake_latency, Event::StartCore { core: target });
+                self.kick(q, target);
             }
         }
         if migrated > 0 {
@@ -807,9 +805,7 @@ impl Machine {
             TraceKind::FaultResolve,
         );
         if self.cores[core].is_idle() {
-            self.cores[core].incoming = true;
-            self.refresh_idle(core);
-            q.schedule_after(self.plat.wake_latency, Event::StartCore { core });
+            self.kick(q, core);
         }
     }
 

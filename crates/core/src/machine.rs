@@ -194,7 +194,11 @@ pub struct CoreState {
     pub granted_to_be: bool,
     /// A revoke IPI is in flight.
     pub revoking: bool,
-    /// A `StartCore`/`PlaceTask` is in flight; don't double-kick.
+    /// A `StartCore`/`PlaceTask` is in flight; don't double-kick. A
+    /// `StartCore` ([`Machine::kick`]) goes to a core that work was queued
+    /// on while it was idle, except to the core a preempted or yielding
+    /// task just left: that core runs its own schedule loop at once and is
+    /// kicked only if the loop leaves it idle.
     pub incoming: bool,
     /// Busy-accounting anchor: since when, and for which app.
     pub busy_since: Option<(Nanos, AppId)>,
@@ -832,7 +836,7 @@ impl Machine {
         let now = q.now();
         self.tasks.get_mut(id).runnable_since = now;
         self.policy.task_init(&mut self.tasks, id, now);
-        self.enqueue_task(q, id, EnqueueFlags::New, opts.pin);
+        self.enqueue_task(q, id, EnqueueFlags::New, opts.pin, None);
         id
     }
 
@@ -894,7 +898,7 @@ impl Machine {
             t.runnable_since = now;
             t.measure_wakeup = t.record_wakeup;
         }
-        self.enqueue_task(q, target, EnqueueFlags::Wakeup, hint);
+        self.enqueue_task(q, target, EnqueueFlags::Wakeup, hint, None);
     }
 
     // ------------------------------------------------------------------
@@ -965,6 +969,8 @@ impl Machine {
             Event::SegmentDone { core } => self.on_segment_done(q, core),
             Event::QuantumCheck { core, task } => self.on_quantum_check(q, core, task),
             Event::StartCore { core } => {
+                #[cfg(feature = "trace")]
+                self.check_kick_is_live(core, q.now());
                 self.cores[core].incoming = false;
                 self.refresh_idle(core);
                 if self.cores[core].current.is_none() {
@@ -1474,13 +1480,19 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Enqueues a runnable task and kicks the machinery that will run it.
+    ///
+    /// `leaving` is the core `t` has just left when that core runs its own
+    /// schedule loop right after ([`Machine::requeue_and_reschedule`]).
+    /// Queued there, `t` needs no kick: the loop looks for work at once.
+    /// Returns whether that kick was held back.
     pub(crate) fn enqueue_task(
         &mut self,
         q: &mut EventQueue<Event>,
         t: TaskId,
         flags: EnqueueFlags,
         hint: Option<CoreId>,
-    ) {
+        leaving: Option<CoreId>,
+    ) -> bool {
         let now = q.now();
         match self.policy.kind() {
             PolicyKind::Centralized => {
@@ -1494,9 +1506,10 @@ impl Machine {
                 self.policy
                     .task_enqueue(&mut self.tasks, t, Some(cpu), flags, now);
                 if self.cores[cpu].is_idle() {
-                    self.cores[cpu].incoming = true;
-                    self.refresh_idle(cpu);
-                    q.schedule_after(self.plat.wake_latency, Event::StartCore { core: cpu });
+                    if leaving == Some(cpu) {
+                        return true;
+                    }
+                    self.kick(q, cpu);
                 } else if flags == EnqueueFlags::Wakeup || flags == EnqueueFlags::New {
                     // Wakeup preemption: ask the policy whether the woken
                     // task should preempt the core it was queued on.
@@ -1511,6 +1524,38 @@ impl Machine {
                     }
                 }
             }
+        }
+        false
+    }
+
+    /// Wakes idle `core`: marks a `StartCore` in flight and sends it.
+    pub(crate) fn kick(&mut self, q: &mut EventQueue<Event>, core: CoreId) {
+        debug_assert!(self.cores[core].is_idle());
+        self.cores[core].incoming = true;
+        self.refresh_idle(core);
+        q.schedule_after(self.plat.wake_latency, Event::StartCore { core });
+    }
+
+    /// Re-enqueues `t`, which has just left `core`, and runs `core`'s
+    /// schedule loop at once (the preempt and yield paths). If `t` was
+    /// queued on `core` itself, the kick [`Machine::enqueue_task`] held
+    /// back is sent only when the loop leaves the core idle, for example
+    /// when a readiness guard filtered every queued task; otherwise it
+    /// would land on a core that is already running its next task. Until
+    /// then `core` carries no `incoming` mark, which is sound because
+    /// nothing between the requeue and `run_task` asks whether it is idle.
+    fn requeue_and_reschedule(
+        &mut self,
+        q: &mut EventQueue<Event>,
+        core: CoreId,
+        t: TaskId,
+        flags: EnqueueFlags,
+        overhead: Nanos,
+    ) {
+        let held = self.enqueue_task(q, t, flags, Some(core), Some(core));
+        self.schedule_loop(q, core, overhead);
+        if held && self.cores[core].is_idle() {
+            self.kick(q, core);
         }
     }
 
@@ -1840,8 +1885,7 @@ impl Machine {
                         // sojourn (queue_delay contract, runqueue AQM)
                         // starts at the yield, not the previous wake.
                         self.tasks.get_mut(t).runnable_since = now;
-                        self.enqueue_task(q, t, EnqueueFlags::Yield, Some(core));
-                        self.schedule_loop(q, core, overhead);
+                        self.requeue_and_reschedule(q, core, t, EnqueueFlags::Yield, overhead);
                         return;
                     }
                     Step::Block => {
@@ -1936,10 +1980,7 @@ impl Machine {
             self.schedule_loop(q, core, overhead);
             return;
         }
-        self.enqueue_task(q, t, EnqueueFlags::Preempted, Some(core));
-        if self.cores[core].current.is_none() {
-            self.schedule_loop(q, core, overhead);
-        }
+        self.requeue_and_reschedule(q, core, t, EnqueueFlags::Preempted, overhead);
     }
 
     /// Parks the machine-managed BE task on a revoked core.

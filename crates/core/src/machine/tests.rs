@@ -152,6 +152,54 @@ fn user_timer_preemption_round_robins() {
     assert!(m.uintr.stats.recognized > 0);
 }
 
+/// Counted work on the per-CPU preempt path: a preempting core runs its
+/// own schedule loop at once, so it sends itself no `StartCore`. The only
+/// kick is the one that woke the idle worker for the first task.
+#[cfg(feature = "trace")]
+#[test]
+fn preemption_sends_no_self_kicks() {
+    use crate::trace::TraceKind;
+
+    let (mut m, mut q) = percpu_machine(
+        1,
+        Box::new(TinyRr {
+            queue: Default::default(),
+            slice: Nanos::from_us(20),
+        }),
+    );
+    m.spawn_request(&mut q, 0, Nanos::from_ms(2), 0, None);
+    m.spawn_request(&mut q, 0, Nanos::from_ms(2), 1, None);
+    m.run(&mut q, Nanos::from_ms(3));
+    assert!(m.stats.preemptions > 0, "no preemptions");
+    assert_eq!(m.tracer.dropped(), 0, "trace ring overflowed");
+    let kicks = m
+        .tracer
+        .events()
+        .filter(|e| e.kind == TraceKind::StartCore)
+        .count();
+    assert_eq!(kicks, 1, "{} preemptions", m.stats.preemptions);
+}
+
+/// The live-kick check fires on a `StartCore` that lands on a busy core.
+#[cfg(feature = "trace")]
+#[test]
+fn checker_flags_a_kick_on_a_busy_core() {
+    let (mut m, mut q) = percpu_machine(1, Box::new(GlobalFifo::new()));
+    m.tracer.checker.enabled = true;
+    m.tracer.checker.panic_on_violation = false;
+    m.spawn_request(&mut q, 0, Nanos::from_us(100), 0, None);
+    m.run(&mut q, Nanos::from_us(50));
+    let core = m.worker_cores[0];
+    assert!(m.cores[core].current.is_some());
+    q.schedule_after(Nanos::ZERO, Event::StartCore { core });
+    m.run(&mut q, Nanos::from_us(60));
+    let vs = m.tracer.checker.violations();
+    assert!(
+        vs.len() == 1 && vs[0].contains("StartCore landed"),
+        "{vs:?}"
+    );
+}
+
 struct WakerThenBlock {
     target: TaskId,
     woke: bool,

@@ -596,6 +596,10 @@ fn push_instant(out: &mut String, first: &mut bool, tid: usize, ev: &TraceEvent)
 ///    rx_drops[c] + aqm_drops[c] + sheds[c] + in_flight[c] + retries[c]`)
 ///    and each array sums back to its global counter, so one class's
 ///    books cannot hide a leak inside another's.
+///
+/// A tenth check, **live kicks**, needs the state just before an event
+/// rather than after it, so it runs as each `StartCore` lands
+/// ([`Machine::check_kick_is_live`]) instead of here.
 pub fn violations_of(m: &Machine, now: Nanos) -> Vec<String> {
     let mut v = Vec::new();
 
@@ -867,6 +871,31 @@ impl Machine {
         }
         self.tracer.checker.checks_run += 1;
         let vs = violations_of(self, now);
+        self.report_violations(now, vs);
+    }
+
+    /// Check 10, **live kicks**: a `StartCore` lands only on a core whose
+    /// `incoming` flag is still set and which runs no task. A kick that
+    /// finds its core busy does no work; one that finds `incoming` clear
+    /// was sent without marking the core, so a second kick could follow
+    /// it. Runs before the `StartCore` handler clears the flag.
+    pub(crate) fn check_kick_is_live(&mut self, core: CoreId, now: Nanos) {
+        if !self.tracer.checker.enabled || !self.started {
+            return;
+        }
+        let c = &self.cores[core];
+        if c.incoming && c.current.is_none() {
+            return;
+        }
+        let v = format!(
+            "core {core}: StartCore landed with incoming = {} while {:?} is current",
+            c.incoming, c.current
+        );
+        self.report_violations(now, vec![v]);
+    }
+
+    /// Panics with `vs`, or records them when the checker does not panic.
+    fn report_violations(&mut self, now: Nanos, vs: Vec<String>) {
         if vs.is_empty() {
             return;
         }

@@ -4,11 +4,12 @@
 
 use skyloft::builtin::GlobalFifo;
 use skyloft::machine::{AppKind, Event, Machine, MachineConfig};
+use skyloft::trace::TraceKind;
 use skyloft::{CoreAllocConfig, Platform, SchedParams};
 use skyloft_apps::harness::{run_point, SweepSpec};
 use skyloft_apps::synthetic::{dispersive, dispersive_threshold, Placement};
 use skyloft_hw::Topology;
-use skyloft_policies::{Cfs, RoundRobin, Shinjuku, WorkStealing};
+use skyloft_policies::{Cfs, Eevdf, RoundRobin, Shinjuku, WorkStealing};
 use skyloft_sim::{Distribution, EventQueue, Nanos};
 
 fn centralized(
@@ -132,6 +133,35 @@ fn timer_delegation_never_loses_interrupts() {
     assert_eq!(m.stats.timer_lost, 0, "PIR re-arm must never be missed");
     assert!(m.stats.preemptions > 10);
     assert!(m.uintr.stats.sends_suppressed > 0, "SN self-posts happened");
+}
+
+/// Counted work on the per-CPU path: under EEVDF at 100 kHz a preempting
+/// core picks its next task itself, so the trace holds exactly one
+/// `StartCore`, the kick that woke the idle worker for the first task.
+#[test]
+fn eevdf_preemptions_send_no_self_kicks() {
+    let cfg = MachineConfig {
+        plat: Platform::skyloft_percpu(Topology::single(2), 100_000),
+        n_workers: 1,
+        seed: 3,
+        core_alloc: None,
+        utimer_period: None,
+    };
+    let mut m = Machine::new(cfg, Box::new(Eevdf::new(SchedParams::SKYLOFT_EEVDF)));
+    m.add_app("a", AppKind::Lc);
+    let mut q = EventQueue::new();
+    m.start(&mut q);
+    m.spawn_request(&mut q, 0, Nanos::from_ms(2), 0, None);
+    m.spawn_request(&mut q, 0, Nanos::from_ms(2), 0, None);
+    m.run(&mut q, Nanos::from_ms(3));
+    assert!(m.stats.preemptions > 0, "no preemptions");
+    assert_eq!(m.tracer.dropped(), 0, "trace ring overflowed");
+    let kicks = m
+        .tracer
+        .events()
+        .filter(|e| e.kind == TraceKind::StartCore)
+        .count();
+    assert_eq!(kicks, 1, "{} preemptions", m.stats.preemptions);
 }
 
 /// Work stealing balances a skewed arrival pattern across cores.

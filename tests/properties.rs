@@ -244,80 +244,93 @@ proptest! {
     /// 150 ms of virtual time, so the event queue's timing wheel crosses
     /// many level-1/level-2 refills and a level-3 cascade boundary
     /// (2^24 granules span ≈ 8.6 s; level boundaries at ~33 μs, ~2.1 ms,
-    /// ~134 ms) while the checker watches every event.
+    /// ~134 ms) while the checker watches every event. Each case runs a
+    /// second time with its arrivals squeezed 1000× into the first 140 μs,
+    /// so requests queue behind each other and per-CPU tasks get
+    /// preempted: the staggered arrivals alone almost never overlap.
     #[test]
     fn machine_invariants_hold_on_random_workloads(
         reqs in prop::collection::vec((1u64..150_000, 0usize..4, 0u64..140_000_000), 1..30),
         shape in 0u8..4,
         seed in 0u64..1_000,
     ) {
-        use skyloft::builtin::CentralizedFcfs;
-        use skyloft::machine::{AppKind, Machine, MachineConfig};
-        use skyloft::{CoreAllocConfig, Platform, PreemptMechanism};
-        let workers = 3usize;
-        let topo = skyloft_hw::Topology::single(workers + 1);
-        let (plat, core_alloc, utimer, policy): (Platform, _, _, Box<dyn Policy>) = match shape {
-            0 => (
-                Platform::skyloft_percpu(topo, 100_000),
-                None,
-                None,
-                Box::new(WorkStealing::new(Some(Nanos::from_us(20)))),
-            ),
-            1 => (
-                Platform::skyloft_percpu(topo, 100_000),
-                None,
-                None,
-                Box::new(Cfs::new(skyloft::SchedParams::SKYLOFT_CFS)),
-            ),
-            2 => (
-                Platform::skyloft_centralized(topo),
-                Some(CoreAllocConfig::default()),
-                None,
-                Box::new(CentralizedFcfs::new(Some(Nanos::from_us(30)))),
-            ),
-            _ => {
-                let mut p = Platform::skyloft_percpu(topo, 100_000);
-                p.mech = PreemptMechanism::UserIpi;
-                (
-                    p,
-                    None,
-                    Some(Nanos::from_us(5)),
-                    Box::new(WorkStealing::new(Some(Nanos::from_us(20)))),
-                )
-            }
-        };
-        let cfg = MachineConfig {
-            plat,
-            n_workers: workers,
-            seed,
-            core_alloc,
-            utimer_period: utimer,
-        };
-        let mut m = Machine::new(cfg, policy);
-        m.add_app("lc", AppKind::Lc);
-        if shape == 2 {
-            m.add_app("batch", AppKind::Be);
+        for squeeze in [1, 1_000] {
+            run_checked_workload(&reqs, shape, seed, squeeze);
         }
-        let mut q = EventQueue::new();
-        m.start(&mut q);
-        let n = reqs.len() as u64;
-        for (i, (svc, pin, arrive)) in reqs.into_iter().enumerate() {
-            use skyloft::machine::Call;
-            let pin = (pin < workers).then_some(pin);
-            let class = (i % 4) as u8;
-            q.schedule(
-                Nanos(arrive),
-                skyloft::machine::Event::Call(Call(Box::new(move |m: &mut Machine, q: &mut EventQueue<skyloft::machine::Event>| {
-                    m.spawn_request(q, 0, Nanos(svc), class, pin);
-                }))),
-            );
-        }
-        m.run(&mut q, Nanos::from_ms(150));
-        prop_assert_eq!(m.stats.completed, n);
-        prop_assert_eq!(m.stats.timer_lost, 0);
-        prop_assert!(m.tracer.checker.checks_run() > 0);
-        prop_assert!(m.tracer.checker.violations().is_empty());
     }
+}
+
+/// One run of [`machine_invariants_hold_on_random_workloads`]: `reqs` are
+/// `(service ns, pin, arrival ns)`, with arrivals divided by `squeeze`.
+fn run_checked_workload(reqs: &[(u64, usize, u64)], shape: u8, seed: u64, squeeze: u64) {
+    use skyloft::builtin::CentralizedFcfs;
+    use skyloft::machine::{AppKind, Machine, MachineConfig};
+    use skyloft::{CoreAllocConfig, Platform, PreemptMechanism};
+    let workers = 3usize;
+    let topo = skyloft_hw::Topology::single(workers + 1);
+    let (plat, core_alloc, utimer, policy): (Platform, _, _, Box<dyn Policy>) = match shape {
+        0 => (
+            Platform::skyloft_percpu(topo, 100_000),
+            None,
+            None,
+            Box::new(WorkStealing::new(Some(Nanos::from_us(20)))),
+        ),
+        1 => (
+            Platform::skyloft_percpu(topo, 100_000),
+            None,
+            None,
+            Box::new(Cfs::new(skyloft::SchedParams::SKYLOFT_CFS)),
+        ),
+        2 => (
+            Platform::skyloft_centralized(topo),
+            Some(CoreAllocConfig::default()),
+            None,
+            Box::new(CentralizedFcfs::new(Some(Nanos::from_us(30)))),
+        ),
+        _ => {
+            let mut p = Platform::skyloft_percpu(topo, 100_000);
+            p.mech = PreemptMechanism::UserIpi;
+            (
+                p,
+                None,
+                Some(Nanos::from_us(5)),
+                Box::new(WorkStealing::new(Some(Nanos::from_us(20)))),
+            )
+        }
+    };
+    let cfg = MachineConfig {
+        plat,
+        n_workers: workers,
+        seed,
+        core_alloc,
+        utimer_period: utimer,
+    };
+    let mut m = Machine::new(cfg, policy);
+    m.add_app("lc", AppKind::Lc);
+    if shape == 2 {
+        m.add_app("batch", AppKind::Be);
+    }
+    let mut q = EventQueue::new();
+    m.start(&mut q);
+    let n = reqs.len() as u64;
+    for (i, &(svc, pin, arrive)) in reqs.iter().enumerate() {
+        use skyloft::machine::Call;
+        let pin = (pin < workers).then_some(pin);
+        let class = (i % 4) as u8;
+        q.schedule(
+            Nanos(arrive / squeeze),
+            skyloft::machine::Event::Call(Call(Box::new(
+                move |m: &mut Machine, q: &mut EventQueue<skyloft::machine::Event>| {
+                    m.spawn_request(q, 0, Nanos(svc), class, pin);
+                },
+            ))),
+        );
+    }
+    m.run(&mut q, Nanos::from_ms(150));
+    prop_assert_eq!(m.stats.completed, n);
+    prop_assert_eq!(m.stats.timer_lost, 0);
+    prop_assert!(m.tracer.checker.checks_run() > 0);
+    prop_assert!(m.tracer.checker.violations().is_empty());
 }
 
 /// The lowest-tid thread bound to `core` in `state`, by a plain scan of
