@@ -908,3 +908,15 @@ fn rq_aqm_condemns_batch_oldest_first_under_congestion() {
     );
     assert_eq!(m.stats.rq_sheds, 0, "condemned tasks are reaped at dequeue");
 }
+
+/// App ids fit 8 bits with one value to spare: 255 applications register,
+/// the 256th is refused rather than aliasing another app's id.
+#[test]
+#[should_panic(expected = "at most 255 applications")]
+fn add_app_refuses_the_256th_application() {
+    let (mut m, _q) = central_machine(1, None, None);
+    for i in 1..crate::machine::MAX_APPS {
+        assert_eq!(m.add_app(&format!("app{i}"), AppKind::Lc), i);
+    }
+    m.add_app("one too many", AppKind::Lc);
+}
