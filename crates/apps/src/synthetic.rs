@@ -409,6 +409,10 @@ struct PlaneState {
     /// [`nic_rx`] steers by cached hash through the live indirection
     /// table.
     flow_cache: FlowHashCache,
+    /// Poll-round scratch, reused across ring visits: the packets a ring
+    /// drain kept, and those its drop law shed.
+    drained: Vec<(Nanos, Pkt)>,
+    shed: Vec<Pkt>,
 }
 
 /// One co-located application's share of a multi-tenant load: its own
@@ -481,6 +485,8 @@ pub fn install_tenants(
         loss_pending: 0,
         stick_seq: 0,
         flow_cache: FlowHashCache::new(),
+        drained: Vec::new(),
+        shed: Vec::new(),
     }));
 
     // One arrival chain per tenant, all feeding the shared plane; the
@@ -552,10 +558,10 @@ pub fn install_tenants(
                 backpressured = true;
                 continue; // backpressure: leave packets in the ring
             }
-            let mut batch = Vec::with_capacity(take);
-            let mut shed = Vec::new();
+            let mut batch = std::mem::take(&mut s.drained);
+            let mut shed = std::mem::take(&mut s.shed);
             let k = s.nic.drain(now, ring, take, &mut batch, &mut shed);
-            for pkt in shed {
+            for pkt in shed.drain(..) {
                 if pkt.attempt == 0 {
                     let c = class_slot(pkt.class);
                     m.stats.aqm_drops += 1;
@@ -566,7 +572,9 @@ pub fn install_tenants(
                 m.note_net(now, Some(ring), NetTrace::AqmDrop);
                 client_loss(q, &st_poll, &mut s, pkt);
             }
+            s.shed = shed;
             if k == 0 {
+                s.drained = batch;
                 continue;
             }
             // Deadline-aware admission over the kept batch: a request
@@ -579,7 +587,7 @@ pub fn install_tenants(
             // borderline requests it can no longer save.
             let nic_cost = s.nic.poll_cost(ring);
             let mut admitted: Vec<Pkt> = Vec::with_capacity(k);
-            for (_, pkt) in batch {
+            for (_, pkt) in batch.drain(..) {
                 let doomed = s.admission.as_ref().is_some_and(|adm| {
                     adm.should_shed(
                         pkt.class,
@@ -618,6 +626,7 @@ pub fn install_tenants(
                     admitted.push(pkt);
                 }
             }
+            s.drained = batch;
             if admitted.is_empty() {
                 continue;
             }
