@@ -77,7 +77,7 @@ pub(crate) fn queued<'a>(
 /// Victim pools from one scan of queued tasks: each eligible app's tasks,
 /// handed out oldest first. Ties within an app go in scan order; across
 /// apps, the first app in order wins.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Victims {
     /// Per app, eligible or not, its oldest queued instant.
     oldest: Vec<Option<Nanos>>,
@@ -94,21 +94,38 @@ impl Victims {
         queued: impl Iterator<Item = Queued>,
         eligible: impl Fn(AppId) -> bool,
     ) -> Self {
-        let mut oldest: Vec<Option<Nanos>> = vec![None; n_apps];
-        let mut pools = vec![Vec::new(); n_apps];
+        let mut v = Victims::default();
+        v.refill(n_apps, queued, eligible);
+        v
+    }
+
+    /// [`Victims::collect`] in place: the previous pools are discarded but
+    /// their buffers are kept, so a periodic scan allocates only when a
+    /// pool outgrows every earlier one.
+    pub(crate) fn refill(
+        &mut self,
+        n_apps: usize,
+        queued: impl Iterator<Item = Queued>,
+        eligible: impl Fn(AppId) -> bool,
+    ) {
+        self.oldest.clear();
+        self.oldest.resize(n_apps, None);
+        self.pools.resize_with(n_apps, Vec::new);
+        for p in &mut self.pools {
+            p.clear();
+        }
         for q in queued {
-            if oldest[q.app].is_none_or(|o| q.since < o) {
-                oldest[q.app] = Some(q.since);
+            if self.oldest[q.app].is_none_or(|o| q.since < o) {
+                self.oldest[q.app] = Some(q.since);
             }
             if eligible(q.app) {
-                pools[q.app].push((q.since, q.task));
+                self.pools[q.app].push((q.since, q.task));
             }
         }
-        for p in &mut pools {
+        for p in &mut self.pools {
             p.sort_by_key(|&(since, _)| since);
             p.reverse();
         }
-        Victims { oldest, pools }
     }
 
     /// Takes `app`'s oldest remaining task.
@@ -136,6 +153,8 @@ pub struct RunqueueAqm {
     cfg: RunqueueAqmConfig,
     /// Controllers, indexed by `AppId` (grown on demand).
     apps: Vec<CodelState>,
+    /// The victim pools, refilled at every tick.
+    victims: Victims,
 }
 
 impl RunqueueAqm {
@@ -144,6 +163,7 @@ impl RunqueueAqm {
         RunqueueAqm {
             cfg,
             apps: Vec::new(),
+            victims: Victims::default(),
         }
     }
 
@@ -174,7 +194,8 @@ impl RunqueueAqm {
         let sheddable = |app: AppId| apps[app].slo.is_some_and(|s| s.slo >= sheddable_slo);
         // Whole pools, not just each app's head: the tick is far coarser
         // than per-dequeue CoDel, so one firing may owe several drops.
-        let mut victims = Victims::collect(apps.len(), queued, sheddable);
+        let mut victims = std::mem::take(&mut self.victims);
+        victims.refill(apps.len(), queued, sheddable);
         let mut worst: Option<Nanos> = None;
         for (app, desc) in apps.iter().enumerate() {
             let Some(since) = victims.oldest[app] else {
@@ -201,6 +222,7 @@ impl RunqueueAqm {
                 condemned.push(v);
             }
         }
+        self.victims = victims;
         worst
     }
 
