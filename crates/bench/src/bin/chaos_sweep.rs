@@ -6,7 +6,7 @@
 //! timer-arming self-IPIs at the swept probability and periodically
 //! page-faults and stalls running kernel threads. Each fault rate is
 //! measured twice: with the recovery layer on (watchdog re-arm, fault
-//! substitution, stall migration) and with [`RecoveryConfig::disabled`].
+//! substitution, stall migration) and with `Machine::recovery` off.
 //!
 //! The shape this binary asserts is the PR's acceptance bar: with
 //! recovery, a 1% arming-loss + page-fault plan keeps p99 within 2x the
@@ -19,7 +19,7 @@
 //! matrix). Results: `chaos_sweep.csv` and `chaos_sweep_dataplane.csv`.
 
 use skyloft::machine::{AppKind, Event, Machine, MachineConfig};
-use skyloft::{FaultPlan, Platform, RecoveryConfig};
+use skyloft::{FaultPlan, Platform};
 use skyloft_apps::synthetic::{dispersive, dispersive_threshold, install_open_loop_net, Placement};
 use skyloft_bench::{scaled, setup, Cli};
 use skyloft_hw::Topology;
@@ -70,9 +70,7 @@ fn build(arming_drop_p: f64, recovery_on: bool, cfg: &RunCfg) -> (Machine, Event
     // so §6 fault substitution has something to wake when the primary's
     // thread page-faults mid-run.
     m.add_app("standby", AppKind::Lc);
-    if !recovery_on {
-        m.recovery = RecoveryConfig::disabled();
-    }
+    m.recovery = recovery_on;
     if arming_drop_p > 0.0 {
         m.install_fault_plan(
             FaultPlan::seeded(cfg.seed ^ (arming_drop_p * 1e6) as u64)

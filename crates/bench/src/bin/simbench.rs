@@ -81,8 +81,8 @@ fn run_dispersive() -> Sample {
     measure(|| {
         let (mut m, mut q) = build::skyloft_shinjuku(8, Some(FIG7_QUANTUM), false);
         // Measure the engine, not the trace recorder: the ring-buffer
-        // write per event is diagnostic overhead a production build
-        // compiles out entirely (`--no-default-features`).
+        // write per event is diagnostic overhead a production run
+        // switches off.
         m.tracer.set_active(false);
         let horizon = scaled(Nanos::from_ms(400));
         let gen = OpenLoop::new(120_000.0, dispersive(), dispersive_threshold(), 0x51);

@@ -332,69 +332,6 @@ impl Default for BrownoutConfig {
     }
 }
 
-/// Tunables of the fault-recovery mechanisms (consumed by the `chaos`
-/// feature's watchdog and retry machinery; see `crate::chaos`).
-///
-/// The defaults are the "recovery on" configuration used by the
-/// `chaos_sweep` bench; [`RecoveryConfig::disabled`] turns every mechanism
-/// off so injected faults run their full course (the degradation baseline).
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryConfig {
-    /// Period of the machine-wide watchdog that scans worker cores for a
-    /// lost §3.2 arming (empty PIR) and for stalled workers. The watchdog
-    /// models a monitor thread on a non-isolated core, so its scans cost
-    /// the workers nothing.
-    pub watchdog_period: Nanos,
-    /// Re-arm a `UserTimer` worker whose PIR the watchdog finds empty
-    /// (the handler's self-`SENDUIPI` was lost).
-    pub rearm_timers: bool,
-    /// Minimum no-progress window before a worker counts as stalled. The
-    /// effective threshold is `max(stall_detect_after, 8 x tick period)`
-    /// so slow-tick platforms are not misdiagnosed.
-    pub stall_detect_after: Nanos,
-    /// Migrate the runqueue of a stalled worker to its siblings.
-    pub migrate_on_stall: bool,
-    /// How long after sending a §5.2 revoke IPI the allocator waits for
-    /// the grant state to clear before resending.
-    pub revoke_retry_timeout: Nanos,
-    /// Maximum revoke resends (with doubling backoff) before the allocator
-    /// abandons the cycle and lets a later congestion tick start over.
-    pub revoke_retry_budget: u32,
-    /// Re-run the dispatcher's quantum check one quantum after it sends a
-    /// preempt IPI, so a dropped IPI delays a preemption by one quantum
-    /// instead of losing it.
-    pub preempt_recheck: bool,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            watchdog_period: Nanos::from_us(25),
-            rearm_timers: true,
-            stall_detect_after: Nanos::from_us(100),
-            migrate_on_stall: true,
-            revoke_retry_timeout: Nanos::from_us(5),
-            revoke_retry_budget: 3,
-            preempt_recheck: true,
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// Every recovery mechanism off: faults degrade the machine unchecked.
-    pub fn disabled() -> Self {
-        RecoveryConfig {
-            watchdog_period: Nanos::from_us(25),
-            rearm_timers: false,
-            stall_detect_after: Nanos::from_us(100),
-            migrate_on_stall: false,
-            revoke_retry_timeout: Nanos::from_us(5),
-            revoke_retry_budget: 0,
-            preempt_recheck: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,17 +389,5 @@ mod tests {
         assert!(c.target < c.interval);
         assert!(c.poll_every < c.interval);
         assert!(c.sheddable_slo > c.target, "only loose classes shed");
-    }
-
-    #[test]
-    fn disabled_recovery_turns_every_mechanism_off() {
-        let r = RecoveryConfig::disabled();
-        assert!(!r.rearm_timers);
-        assert!(!r.migrate_on_stall);
-        assert!(!r.preempt_recheck);
-        assert_eq!(r.revoke_retry_budget, 0);
-        let on = RecoveryConfig::default();
-        assert!(on.rearm_timers && on.migrate_on_stall && on.preempt_recheck);
-        assert!(on.revoke_retry_budget > 0);
     }
 }

@@ -42,22 +42,19 @@
 
 pub mod aqm;
 pub mod builtin;
-#[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod conf;
 pub mod machine;
 pub mod ops;
 pub mod stats;
 pub mod task;
-#[cfg(feature = "trace")]
 pub mod trace;
 
 pub use aqm::RunqueueAqm;
-#[cfg(feature = "chaos")]
 pub use chaos::FaultPlan;
 pub use conf::{
-    BrownoutConfig, CoreAllocConfig, Platform, PreemptMechanism, RecoveryConfig, RunqueueAqmConfig,
-    SchedParams, SloClass,
+    BrownoutConfig, CoreAllocConfig, Platform, PreemptMechanism, RunqueueAqmConfig, SchedParams,
+    SloClass,
 };
 pub use machine::{
     AppKind, Call, Event, IpiPurpose, Machine, MachineConfig, NetTrace, Recur, SpawnOpts,

@@ -155,7 +155,6 @@ fn user_timer_preemption_round_robins() {
 /// Counted work on the per-CPU preempt path: a preempting core runs its
 /// own schedule loop at once, so it sends itself no `StartCore`. The only
 /// kick is the one that woke the idle worker for the first task.
-#[cfg(feature = "trace")]
 #[test]
 fn preemption_sends_no_self_kicks() {
     use crate::trace::TraceKind;
@@ -181,7 +180,6 @@ fn preemption_sends_no_self_kicks() {
 }
 
 /// The live-kick check fires on a `StartCore` that lands on a busy core.
-#[cfg(feature = "trace")]
 #[test]
 fn checker_flags_a_kick_on_a_busy_core() {
     let (mut m, mut q) = percpu_machine(1, Box::new(GlobalFifo::new()));
@@ -649,7 +647,6 @@ fn app_share_counts_still_running_be_spinner() {
     assert!(share > 0.8, "running spinner must be counted: {share}");
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn trace_records_events_and_exports_chrome_json() {
     use crate::trace::TraceKind;
@@ -710,7 +707,6 @@ fn utimer_emulation_preempts_via_ipis() {
     );
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn runtime_trace_disable_records_nothing() {
     // The cached `tracing_active` flag must make the emit paths a single

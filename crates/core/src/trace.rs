@@ -23,11 +23,6 @@
 //!   framework's structural invariants (see [`violations_of`]). A violation
 //!   panics by default, so property tests and the tier-1 suite catch
 //!   scheduling bugs at the event where they happen, not at test end.
-//!
-//! The whole module is behind the `trace` cargo feature (on by default).
-//! Compiling `skyloft-core` with `--no-default-features` removes the
-//! tracer field and every emission site, leaving zero overhead on the
-//! event hot path.
 
 use std::fmt::Write as _;
 
@@ -542,8 +537,8 @@ impl Tracer {
     ///
     /// While inactive, the machine's emit paths take one predictable
     /// branch and construct no [`TraceEvent`] at all — benchmark drivers
-    /// can turn the ring off without rebuilding the machine or compiling
-    /// out the `trace` feature. Scheduling decisions are unaffected either
+    /// can turn the ring off without rebuilding the machine. Scheduling
+    /// decisions are unaffected either
     /// way, and the invariant checker is controlled independently through
     /// [`InvariantChecker::enabled`].
     pub fn set_active(&mut self, on: bool) {
@@ -967,7 +962,6 @@ impl Machine {
             Event::RqAqmTick => return,
             // Chaos machinery traces through the specific fault/recovery
             // kinds it emits while handling the event.
-            #[cfg(feature = "chaos")]
             Event::Chaos(_) => return,
             // Callback bodies trace through the machine calls they make.
             Event::Call(_) | Event::Recur(_) => return,

@@ -29,7 +29,6 @@
 use skyloft_sim::Nanos;
 
 use crate::nic::RX_POLL_COST;
-#[cfg(feature = "overload")]
 use crate::overload::{Codel, CodelConfig};
 use crate::ring::Ring;
 use crate::rss::RssHasher;
@@ -92,7 +91,6 @@ pub struct MultiQueueNic<T> {
     aqm_dropped: Vec<u64>,
     /// Per-ring CoDel state when AQM is enabled; `None` keeps the PR 5
     /// pure tail-drop behaviour bit-for-bit.
-    #[cfg(feature = "overload")]
     codel: Option<Vec<Codel>>,
     /// The polling core is busy with earlier packets until this instant.
     poller_free_at: Nanos,
@@ -122,7 +120,6 @@ impl<T> MultiQueueNic<T> {
             enqueued: 0,
             polled: 0,
             aqm_dropped: vec![0; cfg.n_rings],
-            #[cfg(feature = "overload")]
             codel: None,
             poller_free_at: Nanos::ZERO,
             poll_cost_est: vec![RX_POLL_COST; cfg.n_rings],
@@ -133,7 +130,6 @@ impl<T> MultiQueueNic<T> {
     /// Enables the CoDel drop law on every ring (one independent
     /// controller per ring, as real per-queue AQM runs). Until this is
     /// called the NIC tail-drops only, exactly as PR 5 shipped it.
-    #[cfg(feature = "overload")]
     pub fn set_codel(&mut self, law: CodelConfig) {
         self.codel = Some((0..self.rings.len()).map(|_| Codel::new(law)).collect());
     }
@@ -202,14 +198,11 @@ impl<T> MultiQueueNic<T> {
 
     /// Asks the ring's CoDel controller about a packet dequeued at `now`
     /// that was enqueued at `ts`; `true` means shed it. Always `false`
-    /// when AQM is off (or compiled out).
+    /// when AQM is off.
     fn aqm_verdict(&mut self, ring: usize, now: Nanos, ts: Nanos) -> bool {
-        #[cfg(feature = "overload")]
-        if let Some(codel) = &mut self.codel {
-            return codel[ring].on_packet(now, now.saturating_sub(ts));
-        }
-        let _ = (ring, now, ts);
-        false
+        self.codel
+            .as_mut()
+            .is_some_and(|codel| codel[ring].on_packet(now, now.saturating_sub(ts)))
     }
 
     /// Drains up to `max` packets from `ring` at instant `now`, FIFO.
@@ -421,7 +414,6 @@ mod tests {
         assert_eq!(out[2].0, Nanos(2));
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn codel_sheds_aged_packets_without_eating_the_burst() {
         use crate::overload::CodelConfig;
@@ -453,7 +445,6 @@ mod tests {
         assert_eq!(all, (0..40).collect::<Vec<_>>());
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn codel_quiet_below_target() {
         use crate::overload::CodelConfig;

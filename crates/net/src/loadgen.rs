@@ -10,7 +10,6 @@ use skyloft_sim::rng::PoissonArrivals;
 use skyloft_sim::{Distribution, Nanos, Rng};
 
 use crate::nic::LossModel;
-#[cfg(feature = "overload")]
 use crate::overload::{class_slot, MAX_CLASSES};
 
 /// Client-side network behavior for a load-generation run: what the wire
@@ -121,7 +120,6 @@ impl Iterator for OpenLoop {
 /// The retrying client's knobs: when to give up on one attempt, how many
 /// attempts to make, how to space them, and how many retries the client
 /// population may spend in aggregate.
-#[cfg(feature = "overload")]
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Per-attempt timeout: an attempt with no response by then is
@@ -141,7 +139,6 @@ pub struct RetryPolicy {
     pub backoff_cap: Nanos,
 }
 
-#[cfg(feature = "overload")]
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
@@ -164,7 +161,6 @@ impl Default for RetryPolicy {
 /// Integer milli-token arithmetic, so the bound is exact and
 /// property-testable: `spent() * 1000 ≤ requests × budget_permille +
 /// burst × 1000` always.
-#[cfg(feature = "overload")]
 #[derive(Clone, Debug)]
 pub struct RetryBudget {
     fill_millitokens: u64,
@@ -173,7 +169,6 @@ pub struct RetryBudget {
     spent: u64,
 }
 
-#[cfg(feature = "overload")]
 impl RetryBudget {
     /// A bucket accruing `permille/1000` tokens per request, holding at
     /// most `burst` whole tokens.
@@ -217,14 +212,12 @@ impl RetryBudget {
 /// A per-class bucket accrues budget only from *its own* class's
 /// original requests, at its own permille rate — the `retry_frac` of the
 /// application's registered SLO class (`SloClass` in `skyloft-core`).
-#[cfg(feature = "overload")]
 #[derive(Clone, Debug)]
 pub struct ClassRetryBudgets {
     /// One shared bucket, or one per class slot.
     buckets: Vec<RetryBudget>,
 }
 
-#[cfg(feature = "overload")]
 impl ClassRetryBudgets {
     /// Budgets holding at most `burst` whole tokens each. With `fracs`
     /// unset, one bucket filling at `permille` serves every class (a
@@ -268,7 +261,6 @@ impl ClassRetryBudgets {
 /// architecture-blog variant): each delay is drawn uniformly from
 /// `[base, prev × 3)` and capped, which decorrelates colliding clients
 /// faster than plain `base × 2^n` jitter while keeping the cap.
-#[cfg(feature = "overload")]
 #[derive(Clone, Debug)]
 pub struct Backoff {
     base: Nanos,
@@ -277,7 +269,6 @@ pub struct Backoff {
     rng: Rng,
 }
 
-#[cfg(feature = "overload")]
 impl Backoff {
     /// A backoff sequence drawing from `seed`, bounded to `[base, cap]`.
     pub fn new(base: Nanos, cap: Nanos, seed: u64) -> Self {
@@ -406,7 +397,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn retry_budget_caps_aggregate_retries() {
         // 10% budget, burst 2: 1000 requests accrue ≤ 100 + 2 tokens.
@@ -424,7 +414,6 @@ mod tests {
         assert!(granted >= 90, "budget too stingy: {granted}");
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn retry_budget_burst_bounds_idle_accrual() {
         let mut b = RetryBudget::new(100, 3);
@@ -440,7 +429,6 @@ mod tests {
         assert_eq!(burst, 3);
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn class_budgets_are_isolated_and_scaled() {
         // Class 1 is a batch tenant provisioned at 20‰; class 0 inherits
@@ -463,7 +451,6 @@ mod tests {
         assert!(granted[1] <= 22, "{granted:?}");
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn shared_budget_pools_every_class() {
         let mut b = ClassRetryBudgets::new(1000, 4, None);
@@ -475,7 +462,6 @@ mod tests {
         assert!(!b.try_spend(0));
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn class_budgets_share_slot_for_out_of_range_classes() {
         let mut b = ClassRetryBudgets::new(1000, 4, Some([None; MAX_CLASSES]));
@@ -488,7 +474,6 @@ mod tests {
         assert!(!b.try_spend(0), "class 0 has its own, empty bucket");
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn backoff_stays_within_bounds_and_grows() {
         let base = Nanos::from_us(100);
@@ -507,7 +492,6 @@ mod tests {
         assert!(prev_max > base * 2, "backoff never grew: max {prev_max:?}");
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn backoff_is_deterministic_per_seed() {
         let draw = |seed| {

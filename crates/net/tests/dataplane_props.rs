@@ -110,7 +110,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "overload")]
 mod overload_props {
     use proptest::prelude::*;
 

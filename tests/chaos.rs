@@ -4,7 +4,7 @@
 //! `m.run` below doubles as an invariant sweep through the faults).
 
 use skyloft::machine::{AppKind, Call, Event, Machine, MachineConfig};
-use skyloft::{CoreAllocConfig, FaultPlan, Platform, RecoveryConfig};
+use skyloft::{CoreAllocConfig, FaultPlan, Platform};
 use skyloft_apps::synthetic::{dispersive, dispersive_threshold, install_open_loop_net, Placement};
 use skyloft_hw::Topology;
 use skyloft_net::OpenLoop;
@@ -31,9 +31,7 @@ fn percpu(
     for i in 0..apps {
         m.add_app(&format!("app{i}"), AppKind::Lc);
     }
-    if !recovery_on {
-        m.recovery = RecoveryConfig::disabled();
-    }
+    m.recovery = recovery_on;
     if let Some(p) = plan {
         m.install_fault_plan(p);
     }
