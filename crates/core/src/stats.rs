@@ -16,9 +16,7 @@ pub struct Stats {
     pub resp_hist: Histogram,
     /// Response latency split by request class.
     pub resp_by_class: Vec<Histogram>,
-    /// Slowdown × 1000 (fixed point) split by request class (Figure 8b).
-    pub slowdown_by_class: Vec<Histogram>,
-    /// Slowdown × 1000 across all classes.
+    /// Slowdown × 1000 (fixed point) across all classes (Figure 8b).
     pub slowdown_hist: Histogram,
     /// Completed request count.
     pub completed: u64,
@@ -167,7 +165,6 @@ impl Stats {
             wakeup_hist: Histogram::new(),
             resp_hist: Histogram::new(),
             resp_by_class: vec![Histogram::new(); MAX_CLASSES],
-            slowdown_by_class: vec![Histogram::new(); MAX_CLASSES],
             slowdown_hist: Histogram::new(),
             completed: 0,
             preemptions: 0,
@@ -223,7 +220,6 @@ impl Stats {
         self.completed_by_class[c] += 1;
         self.resp_by_class[c].record(response.0);
         let slow = (skyloft_metrics::slowdown(response.0, service.0) * 1000.0) as u64;
-        self.slowdown_by_class[c].record(slow);
         self.slowdown_hist.record(slow);
     }
 
@@ -238,7 +234,6 @@ impl Stats {
         let c = class_slot(class);
         self.resp_by_class[c].record(timeout.0);
         let slow = (skyloft_metrics::slowdown(timeout.0, service.0) * 1000.0) as u64;
-        self.slowdown_by_class[c].record(slow);
         self.slowdown_hist.record(slow);
     }
 
@@ -319,7 +314,7 @@ mod tests {
         assert_eq!(s.resp_by_class[1].count(), 1);
         assert_eq!(s.resp_by_class[0].count(), 0);
         // Slowdown 2.0 stored as 2000.
-        let p = s.slowdown_by_class[1].percentile(50.0);
+        let p = s.slowdown_hist.percentile(50.0);
         assert!((1_950..=2_050).contains(&p), "slowdown {p}");
     }
 
