@@ -6,6 +6,8 @@
 //! The model keeps that atomicity trivially (single-threaded simulation) and
 //! verifies the rule after every mutating operation in debug builds.
 
+use std::cell::RefCell;
+
 use skyloft_hw::{Apic, CoreId};
 use skyloft_sim::Nanos;
 
@@ -35,6 +37,10 @@ pub struct Kmod {
     /// Per-core count of `FaultBlocked` threads bound to the core, so
     /// [`Kmod::fault_blocked_on`] answers "none" without a table scan.
     fault_blocked: Vec<u32>,
+    /// Per-core `(active, fault-blocked)` tallies of
+    /// [`Kmod::check_binding_rule`], kept between calls so the check
+    /// allocates nothing.
+    tallies: RefCell<Vec<(u32, u32)>>,
     /// Operation counters.
     pub stats: KmodStats,
 }
@@ -64,6 +70,7 @@ impl Kmod {
             isolated,
             active_on: vec![None; n_cores],
             fault_blocked: vec![0; n_cores],
+            tallies: RefCell::new(vec![(0, 0); n_cores]),
             stats: KmodStats::default(),
         }
     }
@@ -216,8 +223,8 @@ impl Kmod {
     /// Tests call this directly; mutating operations run it in debug
     /// builds. One pass over the table, then one over the cores.
     pub fn check_binding_rule(&self) -> Result<()> {
-        // Per core: (active threads, fault-blocked threads).
-        let mut counts = vec![(0u32, 0u32); self.active_on.len()];
+        let mut counts = self.tallies.borrow_mut();
+        counts.fill((0, 0));
         for t in &self.threads {
             match (t.core, t.state) {
                 (Some(c), KthreadState::Active) => counts[c].0 += 1,
