@@ -43,9 +43,10 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(q.cancel(tok));
         });
     });
-    // The per-tick `delay_current` pattern: one pending segment end moved
-    // 200 ns later per iteration. Every 100th move lets it fire and arms a
-    // new one, so the clock keeps up with it as in a machine run.
+    // The `delay_current` pattern on a queued completion: one pending
+    // segment end moved 200 ns later per iteration. Every 100th move lets
+    // it fire and arms a new one, so the clock keeps up with it as in a
+    // machine run.
     c.bench_function("event_queue/reschedule", |b| {
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut at = Nanos(200);

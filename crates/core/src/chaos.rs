@@ -587,9 +587,7 @@ impl Machine {
         let stopped = self.cores[core].current.take();
         self.refresh_idle(core);
         if let Some(t) = stopped {
-            if let Some(tok) = self.cores[core].done_token.take() {
-                q.cancel(tok);
-            }
+            self.cancel_completion(q, core);
             self.close_busy(now, core);
             let remaining = self.cores[core].seg_end.saturating_sub(now);
             let task = self.tasks.get_mut(t);

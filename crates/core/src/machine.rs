@@ -173,6 +173,18 @@ pub struct AppDesc {
     pub slo: Option<SloClass>,
 }
 
+/// Where the running segment's `SegmentDone` is.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Completion {
+    /// Queued at `seg_end`; the token cancels it.
+    Queued(Token),
+    /// Held out of the queue under this reserved sequence number while the
+    /// core's next tick comes strictly first: that tick may delay or
+    /// preempt the segment, so it decides again (see
+    /// `CoreState::next_tick`).
+    Deferred(u64),
+}
+
 /// Per-core scheduler state.
 pub struct CoreState {
     /// Role of this core.
@@ -185,8 +197,12 @@ pub struct CoreState {
     pub seg_end: Nanos,
     /// When the current task started running on this core.
     pub run_start: Nanos,
-    /// Cancellation token of the pending `SegmentDone`.
-    pub done_token: Option<Token>,
+    /// The running segment's completion; `Some` exactly while a task is
+    /// current.
+    pub(crate) completion: Option<Completion>,
+    /// When this core's pending `TimerFire` fires; `None` on cores without
+    /// a tick chain, or once the chain stopped.
+    pub(crate) next_tick: Option<Nanos>,
     /// Kernel threads bound to this core, indexed by `AppId`.
     pub kthreads: Vec<Tid>,
     /// Whether the core-allocator granted this core to the BE application.
@@ -194,7 +210,7 @@ pub struct CoreState {
     /// A revoke IPI is in flight.
     pub revoking: bool,
     /// A `StartCore`/`PlaceTask` is in flight; don't double-kick. A
-    /// `StartCore` ([`Machine::kick`]) goes to a core that work was queued
+    /// `StartCore` (`Machine::kick`) goes to a core that work was queued
     /// on while it was idle, except to the core a preempted or yielding
     /// task just left: that core runs its own schedule loop at once and is
     /// kicked only if the loop leaves it idle.
@@ -232,7 +248,8 @@ impl CoreState {
             cur_app: None,
             seg_end: Nanos::ZERO,
             run_start: Nanos::ZERO,
-            done_token: None,
+            completion: None,
+            next_tick: None,
             kthreads: Vec::new(),
             granted_to_be: false,
             revoking: false,
@@ -586,7 +603,7 @@ impl Machine {
                     let period = self.apic.timer(core).period();
                     // Stagger first expiries to avoid artificial lockstep.
                     let first = period + Nanos(core as u64 * 101 % period.0.max(1));
-                    q.schedule(first, Event::TimerFire { core });
+                    self.arm_tick(q, core, first);
                 }
             }
             PreemptMechanism::KernelTick { hz } => {
@@ -595,7 +612,7 @@ impl Machine {
                     self.apic.set_enabled(core, true);
                     let period = self.apic.timer(core).period();
                     let first = period + Nanos(core as u64 * 307 % period.0.max(1));
-                    q.schedule(first, Event::TimerFire { core });
+                    self.arm_tick(q, core, first);
                 }
             }
             PreemptMechanism::UserIpi => {
@@ -612,7 +629,7 @@ impl Machine {
                     // §5.3 utimer: a dedicated core broadcasts user IPIs.
                     for &core in &self.worker_cores.clone() {
                         let first = period + Nanos(core as u64 * 101 % period.0.max(1));
-                        q.schedule(first, Event::TimerFire { core });
+                        self.arm_tick(q, core, first);
                     }
                 }
             }
@@ -991,32 +1008,43 @@ impl Machine {
         }
     }
 
-    fn on_timer_fire(&mut self, q: &mut EventQueue<Event>, core: CoreId) {
-        // Re-arm the periodic source.
-        match self.plat.mech {
-            PreemptMechanism::UserTimer { .. } | PreemptMechanism::KernelTick { .. } => {
-                if !self.apic.timer_active(core) {
-                    return;
-                }
-                let period = self.apic.timer(core).period();
-                q.schedule_after(period, Event::TimerFire { core });
-            }
-            PreemptMechanism::UserIpi => {
-                let Some(period) = self.utimer_period else {
-                    return;
-                };
-                q.schedule_after(period, Event::TimerFire { core });
-            }
-            _ => return,
-        }
+    /// Schedules `core`'s next `TimerFire` at `at` and records when it
+    /// fires.
+    fn arm_tick(&mut self, q: &mut EventQueue<Event>, core: CoreId, at: Nanos) {
+        q.schedule(at, Event::TimerFire { core });
+        self.cores[core].next_tick = Some(at);
+    }
 
+    fn on_timer_fire(&mut self, q: &mut EventQueue<Event>, core: CoreId) {
+        // Re-arm the periodic source; a stopped source ends the chain.
+        let period = match self.plat.mech {
+            PreemptMechanism::UserTimer { .. } | PreemptMechanism::KernelTick { .. }
+                if self.apic.timer_active(core) =>
+            {
+                Some(self.apic.timer(core).period())
+            }
+            PreemptMechanism::UserIpi => self.utimer_period,
+            _ => None,
+        };
+        match period {
+            Some(period) => self.arm_tick(q, core, q.now() + period),
+            None => self.cores[core].next_tick = None,
+        }
         // An injected stall suppresses interrupt processing on this core;
         // the periodic source keeps firing (re-armed above) and takes
         // effect again once the stall ends.
-        if self.stall_resume_at(core, q.now()).is_some() {
-            return;
+        if period.is_some() && self.stall_resume_at(core, q.now()).is_none() {
+            self.deliver_tick(q, core);
         }
+        // Re-decide a deferred completion against the new next tick, on
+        // every path above.
+        if let Some(Completion::Deferred(seq)) = self.cores[core].completion {
+            self.park_completion(q, core, seq);
+        }
+    }
 
+    /// The interrupt a `TimerFire` raises on `core`, by mechanism.
+    fn deliver_tick(&mut self, q: &mut EventQueue<Event>, core: CoreId) {
         match self.plat.mech {
             PreemptMechanism::UserTimer { .. } => {
                 // Mechanistic §3.2 path: the LAPIC raises TIMER_VECTOR; the
@@ -1252,7 +1280,7 @@ impl Machine {
     }
 
     fn on_segment_done(&mut self, q: &mut EventQueue<Event>, core: CoreId) {
-        self.cores[core].done_token = None;
+        self.cores[core].completion = None;
         self.note_progress(core, q.now());
         let t = self.cores[core]
             .current
@@ -1275,7 +1303,7 @@ impl Machine {
             .policy
             .sched_timer_tick(&mut self.tasks, core, task, ran, now)
         {
-            self.stats.preemptions += 1;
+            // Counted where the preemption is performed, as the IPI lands.
             self.send_preempt_ipi(q, core, Some(task), IpiPurpose::Preempt);
             // Recovery for lost preempt IPIs: keep checking; if the IPI
             // landed the task is gone and the recheck returns early above.
@@ -1866,11 +1894,10 @@ impl Machine {
             self.tasks.get_mut(t).behavior = Some(behavior);
             self.tasks.get_mut(t).remaining = segment;
         }
-        let end = now + overhead + segment;
-        let c = &mut self.cores[core];
-        c.seg_end = end;
-        debug_assert!(c.done_token.is_none());
-        c.done_token = Some(q.schedule(end, Event::SegmentDone { core }));
+        self.cores[core].seg_end = now + overhead + segment;
+        debug_assert!(self.cores[core].completion.is_none());
+        let seq = q.reserve_seq();
+        self.park_completion(q, core, seq);
         // Centralized quantum enforcement: the dispatcher watches this
         // worker. BE spin tasks are managed by the core allocator, not the
         // dispatcher, so they get no quantum checks.
@@ -1891,9 +1918,7 @@ impl Machine {
     fn stop_current(&mut self, q: &mut EventQueue<Event>, core: CoreId, new_state: TaskState) {
         let t = self.cores[core].current.take().expect("no current task");
         self.refresh_idle(core);
-        if let Some(tok) = self.cores[core].done_token.take() {
-            q.cancel(tok);
-        }
+        self.cancel_completion(q, core);
         self.close_busy(q.now(), core);
         self.tasks.get_mut(t).state = new_state;
         self.trace_emit(
@@ -1915,9 +1940,7 @@ impl Machine {
         let now = q.now();
         let t = self.cores[core].current.take().expect("preempt idle core");
         self.refresh_idle(core);
-        if let Some(tok) = self.cores[core].done_token.take() {
-            q.cancel(tok);
-        }
+        self.cancel_completion(q, core);
         self.close_busy(now, core);
         let remaining = self.cores[core].seg_end.saturating_sub(now);
         {
@@ -1945,9 +1968,7 @@ impl Machine {
         let t = self.cores[core].current.take().expect("park idle core");
         self.refresh_idle(core);
         debug_assert_eq!(Some(t), self.cores[core].be_task);
-        if let Some(tok) = self.cores[core].done_token.take() {
-            q.cancel(tok);
-        }
+        self.cancel_completion(q, core);
         self.close_busy(now, core);
         let remaining = self.cores[core].seg_end.saturating_sub(now);
         let task = self.tasks.get_mut(t);
@@ -2003,18 +2024,43 @@ impl Machine {
     }
 
     /// Applies an extra delay (interrupt handler, tick processing) to the
-    /// currently running segment.
+    /// currently running segment. A deferred completion only takes a fresh
+    /// sequence number, the one a queued completion's reschedule draws.
     pub(crate) fn delay_current(&mut self, q: &mut EventQueue<Event>, core: CoreId, cost: Nanos) {
         if cost == Nanos::ZERO {
             return;
         }
         let c = &mut self.cores[core];
-        let Some(tok) = c.done_token.take() else {
+        let Some(done) = c.completion else {
             return;
         };
         c.seg_end += cost;
-        c.done_token = q.reschedule(tok, c.seg_end);
-        debug_assert!(c.done_token.is_some(), "stale segment token");
+        c.completion = match done {
+            Completion::Queued(tok) => q.reschedule(tok, c.seg_end).map(Completion::Queued),
+            Completion::Deferred(_) => Some(Completion::Deferred(q.reserve_seq())),
+        };
+        debug_assert!(c.completion.is_some(), "stale segment token");
+    }
+
+    /// Parks the running segment's completion at `seg_end` under `seq`, or
+    /// defers it while the core's next tick comes strictly first. A tie is
+    /// queued: which of the two fires first is up to their sequence numbers.
+    fn park_completion(&mut self, q: &mut EventQueue<Event>, core: CoreId, seq: u64) {
+        let c = &mut self.cores[core];
+        c.completion = Some(match c.next_tick {
+            Some(tick) if c.seg_end > tick => Completion::Deferred(seq),
+            _ => {
+                Completion::Queued(q.schedule_reserved(c.seg_end, seq, Event::SegmentDone { core }))
+            }
+        });
+    }
+
+    /// Drops the running segment's completion, queued or deferred, when the
+    /// segment leaves the core early.
+    pub(crate) fn cancel_completion(&mut self, q: &mut EventQueue<Event>, core: CoreId) {
+        if let Some(Completion::Queued(tok)) = self.cores[core].completion.take() {
+            q.cancel(tok);
+        }
     }
 
     /// Whether a per-CPU enqueue may target `core` for a task of `app`:

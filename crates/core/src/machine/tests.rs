@@ -916,3 +916,108 @@ fn add_app_refuses_the_256th_application() {
     }
     m.add_app("one too many", AppKind::Lc);
 }
+
+/// One request on one 100 kHz worker, stalled for `stall` at 5 µs so that
+/// its segment ends `extra` ns after the second tick. The stall swallows
+/// the first tick, so the segment's sequence number was drawn before the
+/// second tick's. Returns the traced `(ts, kind)` of every `TimerFire` and
+/// `SegmentDone` from the second tick up to the third.
+fn segment_around_second_tick(extra: u64) -> Vec<(Nanos, crate::trace::TraceKind)> {
+    use crate::trace::TraceKind;
+
+    let (mut m, mut q) = percpu_machine(1, Box::new(GlobalFifo::new()));
+    m.tracer.checker.enabled = true;
+    let period = m.apic.timer(0).period();
+    let stall = period;
+    let start = m.plat.wake_latency + m.plat.same_app_switch;
+    let service = Nanos(2 * period.0 + extra) - stall - start;
+    m.spawn_request(&mut q, 0, service, 0, None);
+    q.schedule(
+        Nanos(period.0 / 2),
+        Event::Call(Call(Box::new(move |m, q| {
+            assert!(m.inject_stall(q, 0, stall));
+        }))),
+    );
+    m.run(&mut q, Nanos(3 * period.0));
+    assert_eq!(m.stats.completed, 1);
+    assert!(m.tracer.checker.violations().is_empty());
+    let window = Nanos(2 * period.0)..Nanos(3 * period.0);
+    m.tracer
+        .events()
+        .filter(|e| window.contains(&e.ts))
+        .filter(|e| matches!(e.kind, TraceKind::TimerFire | TraceKind::SegmentDone))
+        .map(|e| (e.ts, e.kind))
+        .collect()
+}
+
+/// A segment that ends exactly at the next tick is queued, not deferred:
+/// at equal times the older sequence number fires first, here the
+/// segment's, so the tick finds the core idle and delays nothing.
+#[test]
+fn segment_ending_on_a_tick_fires_before_it() {
+    use crate::trace::TraceKind;
+
+    let tick = Nanos(20_000);
+    assert_eq!(
+        segment_around_second_tick(0),
+        vec![(tick, TraceKind::SegmentDone), (tick, TraceKind::TimerFire)]
+    );
+}
+
+/// A segment that ends 1 ns past the next tick is deferred behind it: the
+/// tick fires first and pushes the completion out by its handler cost.
+#[test]
+fn segment_ending_past_a_tick_is_delayed_by_it() {
+    use crate::trace::TraceKind;
+
+    let tick = Nanos(20_000);
+    let cost = skyloft_hw::costs::USER_TIMER_RECEIVE.to_nanos()
+        + skyloft_hw::costs::SENDUIPI_SN.to_nanos();
+    assert_eq!(
+        segment_around_second_tick(1),
+        vec![
+            (tick, TraceKind::TimerFire),
+            (tick + Nanos(1) + cost, TraceKind::SegmentDone)
+        ]
+    );
+}
+
+/// While a segment spans ticks its completion stays out of the queue: the
+/// tick chain is all the queue holds, and no tick moves the completion.
+#[test]
+fn spanning_segment_keeps_its_completion_out_of_the_queue() {
+    let (mut m, mut q) = percpu_machine(1, Box::new(GlobalFifo::new()));
+    m.tracer.checker.enabled = true;
+    m.spawn_request(&mut q, 0, Nanos::from_ms(1), 0, None);
+    for us in 1..=990 {
+        m.run(&mut q, Nanos::from_us(us));
+        assert_eq!(q.len(), 1, "at {us} us");
+    }
+    m.run(&mut q, Nanos::from_ms(2));
+    assert_eq!(m.stats.completed, 1);
+    assert!(m.stats.timer_delivered >= 99, "{}", m.stats.timer_delivered);
+    assert!(m.tracer.checker.violations().is_empty());
+}
+
+/// Dispatcher preemptions are counted once, as the IPI lands and the task
+/// leaves its core, not again when the dispatcher sends it.
+#[test]
+fn dispatcher_preemptions_are_counted_once() {
+    use crate::trace::TraceKind;
+
+    let (mut m, mut q) = central_machine(2, Some(Nanos::from_us(5)), None);
+    m.start(&mut q);
+    for i in 0..8 {
+        m.spawn_request(&mut q, 0, Nanos::from_us(40 + i), 0, None);
+    }
+    m.run(&mut q, Nanos::from_ms(1));
+    assert_eq!(m.stats.completed, 8);
+    assert_eq!(m.tracer.dropped(), 0, "trace ring overflowed");
+    let preempts = m
+        .tracer
+        .events()
+        .filter(|e| e.kind == TraceKind::Preempt)
+        .count() as u64;
+    assert!(preempts > 0, "workload must preempt");
+    assert_eq!(m.stats.preemptions, preempts);
+}

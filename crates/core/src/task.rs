@@ -305,6 +305,17 @@ impl TaskTable {
             && self.slots[id.idx as usize].is_some()
     }
 
+    /// The application of task `id`, or `None` if the handle is stale: one
+    /// generation check where [`TaskTable::contains`] and
+    /// [`TaskTable::get`] make two.
+    pub fn app_of(&self, id: TaskId) -> Option<AppId> {
+        let i = id.idx as usize;
+        if self.generations.get(i) != Some(&id.generation) {
+            return None;
+        }
+        self.slots[i].as_ref().map(|t| t.app)
+    }
+
     /// Immutable access.
     ///
     /// # Panics
@@ -377,6 +388,13 @@ mod tests {
         assert_ne!(a.generation, b.generation);
         assert!(!t.contains(a));
         assert!(t.contains(b));
+        assert_eq!(t.app_of(a), None, "a stale handle resolves no app");
+        assert_eq!(t.app_of(b), Some(7));
+        let beyond = TaskId {
+            idx: 99,
+            generation: 0,
+        };
+        assert_eq!(t.app_of(beyond), None);
     }
 
     #[test]

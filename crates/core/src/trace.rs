@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 use skyloft_sim::Nanos;
 
 use crate::conf::PreemptMechanism;
-use crate::machine::{CoreRole, Event, IpiPurpose, Machine, MAX_APPS};
+use crate::machine::{Completion, CoreRole, Event, IpiPurpose, Machine, MAX_APPS};
 use crate::ops::CoreId;
 use crate::task::{AppId, TaskId, TaskState, MAX_TASK_SLOTS};
 
@@ -695,8 +695,12 @@ fn push_instant(out: &mut String, first: &mut bool, tid: usize, ev: &TraceEvent)
 ///    isolated core, with the kernel module's per-core caches (active
 ///    thread, fault-blocked count) agreeing with its thread table
 ///    ([`skyloft_kmod::Kmod::check_binding_rule`]).
-/// 2. **Segment token** — a core has a pending `SegmentDone` exactly when a
-///    task is current, and its scheduled completion is not in the past.
+/// 2. **Segment completion** — a core has exactly one completion for its
+///    running segment, queued as a `SegmentDone` or deferred under a
+///    reserved sequence number, exactly when a task is current, and the
+///    segment does not end in the past. A deferred completion must lie
+///    strictly after the core's pending tick, which must not lie in the
+///    past either: that tick is what queues it.
 /// 3. **Busy accounting** — a core's open busy interval exists exactly when
 ///    a task runs, is attributed to that task's application, and the total
 ///    busy time over all applications never exceeds elapsed wall time times
@@ -733,7 +737,7 @@ fn push_instant(out: &mut String, first: &mut bool, tid: usize, ev: &TraceEvent)
 ///
 /// A tenth check, **live kicks**, needs the state just before an event
 /// rather than after it, so it runs as each `StartCore` lands
-/// ([`Machine::check_kick_is_live`]) instead of here.
+/// (`Machine::check_kick_is_live`) instead of here.
 pub fn violations_of(m: &Machine, now: Nanos) -> Vec<String> {
     let mut v = Vec::new();
 
@@ -744,18 +748,26 @@ pub fn violations_of(m: &Machine, now: Nanos) -> Vec<String> {
 
     // Per-core structural checks (2, 3 locals, 5).
     for (core, c) in m.cores.iter().enumerate() {
-        if c.done_token.is_some() != c.current.is_some() {
+        if c.completion.is_some() != c.current.is_some() {
             v.push(format!(
-                "core {core}: pending SegmentDone token ({}) disagrees with current task ({:?})",
-                c.done_token.is_some(),
-                c.current
+                "core {core}: segment completion {:?} disagrees with current task {:?}",
+                c.completion, c.current
             ));
         }
-        if c.done_token.is_some() && c.seg_end < now {
+        if c.completion.is_some() && c.seg_end < now {
             v.push(format!(
                 "core {core}: pending segment ends at {:?}, before now {now:?}",
                 c.seg_end
             ));
+        }
+        if let Some(Completion::Deferred(_)) = c.completion {
+            match c.next_tick {
+                Some(tick) if tick >= now && c.seg_end > tick => {}
+                tick => v.push(format!(
+                    "core {core}: completion at {:?} deferred behind tick {tick:?} (now {now:?})",
+                    c.seg_end
+                )),
+            }
         }
         match (c.busy_since, c.current) {
             (None, None) => {}
@@ -983,9 +995,7 @@ impl Machine {
         if !self.tracer.active {
             return;
         }
-        let app = task
-            .filter(|&t| self.tasks.contains(t))
-            .map(|t| self.tasks.get(t).app);
+        let app = task.and_then(|t| self.tasks.app_of(t));
         self.tracer.record(TraceEvent {
             ts,
             core,

@@ -22,7 +22,7 @@
 //!
 //! # The `reference-policy` feature
 //!
-//! [`reference`] holds frozen pre-optimization copies of every policy
+//! [`reference`](mod@reference) holds frozen pre-optimization copies of every policy
 //! (full-scan EEVDF averages, O(n) dequeues, dense runqueue vectors).
 //! They are always compiled — differential tests drive both versions in
 //! one binary — and the `reference-policy` feature additionally swaps the

@@ -5,7 +5,9 @@
 //! monotonically increasing counter assigned at scheduling time, so two
 //! events at the same timestamp fire in scheduling order — this makes every
 //! run with the same seed bit-identical, which the experiment harness relies
-//! on.
+//! on. A caller may also draw the number first ([`EventQueue::reserve_seq`])
+//! and park the event later ([`EventQueue::schedule_reserved`]): the event
+//! then fires where it would have, had it been scheduled at the reservation.
 //!
 //! # Why a wheel
 //!
@@ -16,8 +18,8 @@
 //! wheel makes `schedule` an `O(1)` bucket push and amortizes ordering into
 //! one small sort per bucket drain:
 //!
-//! * time is divided into **granules** of 2^[`GSHIFT`] ns (512 ns);
-//! * [`LEVELS`] levels of [`SLOTS`] buckets each cover granule deltas of
+//! * time is divided into **granules** of 2^`GSHIFT` ns (512 ns);
+//! * `LEVELS` levels of `SLOTS` buckets each cover granule deltas of
 //!   `64^(l+1)`, giving the wheel a total span of 2^24 granules (~8.6 s of
 //!   virtual time) — events beyond the span park in an overflow heap;
 //! * a drained bucket is sorted by the unique `(time, seq)` key into `cur`
@@ -32,10 +34,9 @@
 //! plus one index fix), a scan from the back and a removal in `cur`, where
 //! the cost grows with the entry's distance from the back.
 //! [`EventQueue::reschedule`] unlinks an entry and parks it at its new time
-//! without its payload leaving the slot: the per-tick pattern of pushing a
-//! running segment's end out by the interrupt-handler cost. Pop,
-//! peek, drain and cascade therefore never meet a dead entry and skip
-//! nothing. The one exception is the overflow heap, whose entries cannot be
+//! without its payload leaving the slot: the pattern of pushing a queued
+//! segment end out by an interrupt-handler cost. Pop, peek, drain and
+//! cascade therefore never meet a dead entry and skip nothing. The one exception is the overflow heap, whose entries cannot be
 //! unlinked: a cancelled overflow entry stays behind as a tombstone and
 //! keeps its slot reserved until it pops, so it can never be mistaken for a
 //! later event in the same slot. A slot's generation is bumped whenever it
@@ -43,7 +44,7 @@
 //! never touches a later event.
 //!
 //! The previous `BinaryHeap` implementation survives as
-//! [`crate::reference::ReferenceQueue`] (test builds and the
+//! `crate::reference::ReferenceQueue` (test builds and the
 //! `reference-queue` feature) and serves as the differential oracle for the
 //! wheel's property tests.
 
@@ -200,7 +201,30 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is before the current time: the simulation cannot
     /// travel backwards.
     pub fn schedule(&mut self, at: Nanos, event: E) -> Token {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, event)
+    }
+
+    /// Draws the next sequence number without scheduling anything. An
+    /// event parked later under it with [`EventQueue::schedule_reserved`]
+    /// takes the place in the `(time, seq)` order that [`EventQueue::schedule`]
+    /// would have given it at the moment of the reservation.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Schedules `event` to fire at `at` under `seq`, a number drawn
+    /// earlier by [`EventQueue::reserve_seq`]. Each reserved number may
+    /// key at most one pending event, or the order of ties is lost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current time.
+    pub fn schedule_reserved(&mut self, at: Nanos, seq: u64, event: E) -> Token {
         self.assert_not_past(at);
+        debug_assert!(seq < self.seq, "sequence number {seq} was never reserved");
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize].payload = Some(event);
@@ -217,7 +241,6 @@ impl<E> EventQueue<E> {
             }
         };
         self.live += 1;
-        let seq = self.next_seq();
         self.insert_entry(Entry { at, seq, slot });
         Token {
             slot,
@@ -280,7 +303,7 @@ impl<E> EventQueue<E> {
         sl.generation = sl.generation.wrapping_add(1);
         let generation = sl.generation;
         self.unlink(slot, loc);
-        let seq = self.next_seq();
+        let seq = self.reserve_seq();
         self.insert_entry(Entry { at, seq, slot });
         Some(Token { slot, generation })
     }
@@ -384,12 +407,6 @@ impl<E> EventQueue<E> {
             "scheduling into the past: at={at:?} now={:?}",
             self.now
         );
-    }
-
-    #[inline]
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq - 1
     }
 
     /// The next entry in `(time, seq)` order, refilling `cur` if it ran
@@ -709,6 +726,25 @@ mod tests {
             assert!(e as i64 > prev);
             prev = e as i64;
         }
+    }
+
+    #[test]
+    fn reserved_seq_keeps_its_place_among_ties() {
+        let mut q = EventQueue::new();
+        let first = q.reserve_seq();
+        q.schedule(Nanos(10), 'b');
+        let second = q.reserve_seq();
+        q.schedule(Nanos(10), 'd');
+        // Parked last, in reverse, yet each fires where it was reserved.
+        q.schedule_reserved(Nanos(10), second, 'c');
+        q.schedule_reserved(Nanos(10), first, 'a');
+        q.schedule(Nanos(10), 'e');
+        let mut out = String::new();
+        while let Some((_, e)) = q.pop() {
+            out.push(e);
+        }
+        assert_eq!(out, "abcde");
+        q.assert_garbage_free();
     }
 
     #[test]

@@ -76,6 +76,24 @@ impl<E> ReferenceQueue<E> {
     ///
     /// Panics if `at` is before the current time.
     pub fn schedule(&mut self, at: Nanos, event: E) -> RefToken {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, event)
+    }
+
+    /// Draws the next sequence number (mirrors
+    /// [`crate::EventQueue::reserve_seq`]).
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Schedules `event` at `at` under a reserved sequence number (mirrors
+    /// [`crate::EventQueue::schedule_reserved`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current time.
+    pub fn schedule_reserved(&mut self, at: Nanos, seq: u64, event: E) -> RefToken {
         assert!(
             at >= self.now,
             "scheduling into the past: at={at:?} now={:?}",
@@ -97,8 +115,7 @@ impl<E> ReferenceQueue<E> {
             }
         };
         let generation = self.slots[slot as usize].generation;
-        self.heap.push(Reverse((at, self.seq, slot)));
-        self.seq += 1;
+        self.heap.push(Reverse((at, seq, slot)));
         self.live += 1;
         RefToken { slot, generation }
     }
@@ -198,9 +215,10 @@ mod differential_tests {
     //! [`crate::EventQueue`] must be observationally identical to this
     //! reference queue under arbitrary interleavings of `schedule`,
     //! `schedule_after`, `cancel`, `reschedule`, `pop`, `pop_before`,
-    //! `pop_batch` and `peek_time` — same `(time, payload)` stream, same
-    //! `len`, same clock, same cancel results (token semantics included).
-    //! The oracle for `reschedule` is `cancel` + `schedule`.
+    //! `pop_batch`, `peek_time`, `reserve_seq` and `schedule_reserved` —
+    //! same `(time, payload)` stream, same `len`, same clock, same cancel
+    //! results (token semantics included). The oracle for `reschedule` is
+    //! `cancel` + `schedule`.
 
     use super::*;
     use crate::{BatchSlot, EventQueue, Token};
@@ -258,7 +276,7 @@ mod differential_tests {
         #[test]
         fn wheel_matches_reference_heap(
             ops in prop::collection::vec(
-                (0u64..11, 0u64..30_000_000_000, 0usize..1024),
+                (0u64..13, 0u64..30_000_000_000, 0usize..1024),
                 1..250,
             ),
         ) {
@@ -270,6 +288,8 @@ mod differential_tests {
             let mut claims: Vec<BatchSlot> = Vec::new();
             let mut batch_w: Vec<u64> = Vec::new();
             let mut batch_h: Vec<u64> = Vec::new();
+            // Sequence numbers reserved and not yet scheduled under.
+            let mut reserved: Vec<u64> = Vec::new();
 
             for &(kind, delta, k) in &ops {
                 match kind {
@@ -389,6 +409,31 @@ mod differential_tests {
                         for &q in &want {
                             prop_assert_eq!(heap.pop(), Some((at, q)));
                         }
+                    }
+                    // Reserve a sequence number; ops of every kind may run
+                    // before it is used.
+                    10 => {
+                        let seq = wheel.reserve_seq();
+                        prop_assert_eq!(seq, heap.reserve_seq());
+                        reserved.push(seq);
+                    }
+                    // Park an event under an earlier reservation: among
+                    // same-time events it must fire in reservation order,
+                    // ahead of everything scheduled after the reservation.
+                    11 => {
+                        if reserved.is_empty() {
+                            continue;
+                        }
+                        let seq = reserved.swap_remove(k % reserved.len());
+                        let at = match k % 4 {
+                            // Quantized, to collide with kind 2's events.
+                            3 => Nanos(wheel.now().0 + (delta % 8) * 1_000),
+                            _ => target(wheel.now(), delta, k / 4),
+                        };
+                        let tw = wheel.schedule_reserved(at, seq, payload);
+                        let th = heap.schedule_reserved(at, seq, payload);
+                        tokens.push((tw, th));
+                        payload += 1;
                     }
                     _ => {
                         prop_assert_eq!(wheel.peek_time(), heap.peek_time());

@@ -4,7 +4,7 @@
 //! Ownership discipline: a task is owned by exactly one place at a time —
 //! a runqueue (local deque or injector), the worker currently running it
 //! (`WorkerCtx::current`), or a wait list (mutex/condvar/join). The
-//! [`crate::task::UTask`] state machine provides the transitions between
+//! `crate::task::UTask` state machine provides the transitions between
 //! those owners; every `unsafe` block below leans on that discipline.
 
 use std::cell::{Cell, RefCell};
